@@ -182,9 +182,12 @@ std::optional<RegularSetInfo> regularSetOf(const Configuration& p,
 
   const auto views = allViews(p, c, /*withMultiplicity=*/false, tol);
   const auto order = byViewDescending(p, c, /*withMultiplicity=*/false, tol);
+  const auto holders = geom::secHolders(p.span(), tol);
   std::vector<std::size_t> nonHolders;
   for (std::size_t i : order) {
-    if (!geom::holdsSec(p.span(), i, tol)) nonHolders.push_back(i);
+    if (!std::binary_search(holders.begin(), holders.end(), i)) {
+      nonHolders.push_back(i);
+    }
   }
 
   std::optional<RegularSetInfo> best;

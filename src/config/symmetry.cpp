@@ -27,6 +27,13 @@ bool coincides(const std::vector<Vec2>& a, const std::vector<Vec2>& b,
   return true;
 }
 
+/// Mirror image of q across the line through `center` with unit direction
+/// u: 2 (d.u) u - d, for d = q - center.
+Vec2 reflectAcross(Vec2 q, Vec2 center, Vec2 u) {
+  const Vec2 d = q - center;
+  return center + u * (2.0 * d.dot(u)) - d;
+}
+
 }  // namespace
 
 bool rotationMapsToSelf(const Configuration& p, Vec2 center, double angle,
@@ -45,9 +52,7 @@ bool reflectionMapsToSelf(const Configuration& p, Vec2 center, double axisDir,
   std::vector<Vec2> reflected;
   reflected.reserve(p.size());
   for (const Vec2& q : p.points()) {
-    const Vec2 d = q - center;
-    // Reflect d across the axis direction u: 2 (d.u) u - d.
-    reflected.push_back(center + u * (2.0 * d.dot(u)) - d);
+    reflected.push_back(reflectAcross(q, center, u));
   }
   return coincides(reflected, p.points(), tol);
 }
@@ -76,17 +81,21 @@ std::vector<double> symmetryAxes(const Configuration& p, Vec2 center,
   // Candidate axis directions: the direction of each point, and the bisector
   // of each pair of points (both mod pi). Any true axis must be one of them
   // (an axis either passes through a point or bisects a mirror pair).
-  std::vector<double> candidates;
   const auto& pts = p.points();
-  for (std::size_t i = 0; i < pts.size(); ++i) {
-    const Vec2 di = pts[i] - center;
-    if (di.norm() <= tol.dist) continue;
-    const double ai = geom::norm2pi(di.arg());
+  std::vector<double> args;  // direction of each point off the center
+  args.reserve(pts.size());
+  for (const Vec2& q : pts) {
+    const Vec2 d = q - center;
+    if (d.norm() <= tol.dist) continue;
+    args.push_back(geom::norm2pi(d.arg()));
+  }
+  std::vector<double> candidates;
+  candidates.reserve(args.size() * args.size());
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    const double ai = args[i];
     candidates.push_back(std::fmod(ai, geom::kPi));
-    for (std::size_t j = i + 1; j < pts.size(); ++j) {
-      const Vec2 dj = pts[j] - center;
-      if (dj.norm() <= tol.dist) continue;
-      const double aj = geom::norm2pi(dj.arg());
+    for (std::size_t j = i + 1; j < args.size(); ++j) {
+      const double aj = args[j];
       candidates.push_back(std::fmod((ai + aj) / 2.0, geom::kPi));
       candidates.push_back(
           std::fmod((ai + aj) / 2.0 + geom::kPi / 2.0, geom::kPi));
@@ -96,6 +105,17 @@ std::vector<double> symmetryAxes(const Configuration& p, Vec2 center,
   std::vector<double> axes;
   for (double a : candidates) {
     if (!axes.empty() && std::fabs(a - axes.back()) <= tol.ang) continue;
+    // reflectionMapsToSelf matches the image of pts[0] first, against every
+    // point still unused; with no point near that image it rejects the
+    // axis. Testing just that image, computed the same way, rejects the
+    // same candidates in O(n) and without allocating.
+    const Vec2 image =
+        reflectAcross(pts[0], center, Vec2{std::cos(a), std::sin(a)});
+    if (std::none_of(pts.begin(), pts.end(), [&](Vec2 q) {
+          return geom::nearlyEqual(image, q, tol);
+        })) {
+      continue;
+    }
     if (reflectionMapsToSelf(p, center, a, tol)) axes.push_back(a);
   }
   // Merge the wrap-around duplicate (axis near 0 and near pi are the same).

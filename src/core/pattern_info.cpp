@@ -24,9 +24,12 @@ PatternInfo build(const Configuration& f, bool multiplicity) {
   out.lF = config::secondClosestDistance(f, Vec2{});
   out.views = config::allViews(f, Vec2{}, multiplicity);
 
+  const auto holders = geom::secHolders(f.span());
   std::vector<std::size_t> nonHolders;
   for (std::size_t i = 0; i < f.size(); ++i) {
-    if (!geom::holdsSec(f.span(), i)) nonHolders.push_back(i);
+    if (!std::binary_search(holders.begin(), holders.end(), i)) {
+      nonHolders.push_back(i);
+    }
   }
   for (std::size_t i : nonHolders) {
     bool isMax = true;

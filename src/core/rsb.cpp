@@ -347,10 +347,11 @@ Action asymmetricCase(Analysis& a) {
   // here would require breaking it by robot identity, which anonymous
   // robots do not have.
   const auto& views = a.viewsP();
+  const auto holders = geom::secHolders(p.span());
   std::size_t rmax = p.size();
   bool tie = false;
   for (std::size_t i = 0; i < p.size(); ++i) {
-    if (geom::holdsSec(p.span(), i)) continue;
+    if (std::binary_search(holders.begin(), holders.end(), i)) continue;
     if (rmax == p.size()) {
       rmax = i;
       continue;

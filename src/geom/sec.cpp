@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <numeric>
 #include <random>
 
 namespace apf::geom {
@@ -55,14 +57,50 @@ Circle secWithOne(std::span<const Vec2> pts, std::size_t end, Vec2 p) {
   return c;
 }
 
+/// Seed of the std::mt19937 that std::shuffle uses to fix Welzl's insertion
+/// order.
+constexpr std::uint32_t kWelzlSeed = 0x5ec0c13eU;
+
+/// The insertion order for n points. It depends on n alone, so each thread
+/// draws it once per n and keeps it; no table is shared between threads.
+std::span<const std::uint32_t> welzlOrder(std::size_t n) {
+  thread_local std::vector<std::vector<std::uint32_t>> orders;
+  if (orders.size() <= n) orders.resize(n + 1);
+  std::vector<std::uint32_t>& order = orders[n];
+  if (order.empty()) {
+    order.resize(n);
+    std::iota(order.begin(), order.end(), 0U);
+    std::mt19937 rng(kWelzlSeed);
+    std::shuffle(order.begin(), order.end(), rng);
+  }
+  return order;
+}
+
+/// True when removing point `i` changes `whole`, the SEC of all of `pts`;
+/// `rest` is scratch space for the remaining points.
+bool holdsGiven(std::span<const Vec2> pts, std::size_t i, const Circle& whole,
+                const Tol& tol, std::vector<Vec2>& rest) {
+  if (!whole.onBoundary(pts[i], tol)) return false;
+  rest.clear();
+  for (std::size_t j = 0; j < pts.size(); ++j) {
+    if (j != i) rest.push_back(pts[j]);
+  }
+  const Circle without = smallestEnclosingCircle(rest);
+  return !distEq(without.radius, whole.radius, tol) ||
+         !nearlyEqual(without.center, whole.center, tol);
+}
+
 }  // namespace
 
 Circle smallestEnclosingCircle(std::span<const Vec2> pts) {
   if (pts.empty()) return {};
   if (pts.size() == 1) return {pts[0], 0.0};
-  std::vector<Vec2> shuffled(pts.begin(), pts.end());
-  std::mt19937 rng(0x5ec0c13eU);
-  std::shuffle(shuffled.begin(), shuffled.end(), rng);
+  // Per-thread gather buffer: reused across calls, never shared.
+  thread_local std::vector<Vec2> shuffled;
+  shuffled.clear();
+  for (const std::uint32_t k : welzlOrder(pts.size())) {
+    shuffled.push_back(pts[k]);
+  }
 
   Circle c{shuffled[0], 0.0};
   for (std::size_t i = 1; i < shuffled.size(); ++i) {
@@ -74,22 +112,18 @@ Circle smallestEnclosingCircle(std::span<const Vec2> pts) {
 }
 
 bool holdsSec(std::span<const Vec2> pts, std::size_t i, const Tol& tol) {
-  const Circle whole = smallestEnclosingCircle(pts);
-  if (!whole.onBoundary(pts[i], tol)) return false;
   std::vector<Vec2> rest;
-  rest.reserve(pts.size() - 1);
-  for (std::size_t j = 0; j < pts.size(); ++j) {
-    if (j != i) rest.push_back(pts[j]);
-  }
-  const Circle without = smallestEnclosingCircle(rest);
-  return !distEq(without.radius, whole.radius, tol) ||
-         !nearlyEqual(without.center, whole.center, tol);
+  return holdsGiven(pts, i, smallestEnclosingCircle(pts), tol, rest);
 }
 
 std::vector<std::size_t> secHolders(std::span<const Vec2> pts, const Tol& tol) {
   std::vector<std::size_t> out;
+  if (pts.empty()) return out;
+  const Circle whole = smallestEnclosingCircle(pts);
+  std::vector<Vec2> rest;
+  rest.reserve(pts.size() - 1);
   for (std::size_t i = 0; i < pts.size(); ++i) {
-    if (holdsSec(pts, i, tol)) out.push_back(i);
+    if (holdsGiven(pts, i, whole, tol, rest)) out.push_back(i);
   }
   return out;
 }

@@ -12,9 +12,10 @@
 
 namespace apf::geom {
 
-/// Smallest enclosing circle of the points. Expected O(n) time (randomized
-/// Welzl with move-to-front); deterministic seed so results are reproducible.
-/// Returns a zero circle for an empty input.
+/// Smallest enclosing circle of the points. Expected O(n) time (Welzl with
+/// move-to-front). The points are inserted in a fixed pseudo-random order
+/// that depends only on their count, so results are reproducible. Returns a
+/// zero circle for an empty input.
 Circle smallestEnclosingCircle(std::span<const Vec2> pts);
 
 /// True when point index `i` "holds" the smallest enclosing circle of `pts`:
@@ -24,7 +25,9 @@ Circle smallestEnclosingCircle(std::span<const Vec2> pts);
 bool holdsSec(std::span<const Vec2> pts, std::size_t i,
               const Tol& tol = kDefaultTol);
 
-/// Indices of all points that hold the smallest enclosing circle.
+/// Indices of all points that hold the smallest enclosing circle, in
+/// ascending order; equal to testing holdsSec for each index, but computes
+/// the circle of the whole set once.
 std::vector<std::size_t> secHolders(std::span<const Vec2> pts,
                                     const Tol& tol = kDefaultTol);
 

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 
 #include "config/similarity.h"
@@ -8,6 +7,7 @@
 #include "io/csv.h"
 #include "io/patterns.h"
 #include "io/svg.h"
+#include "tmpdir.h"
 
 namespace apf::io {
 namespace {
@@ -87,7 +87,8 @@ TEST(CsvTest, WritesHeaderAndRows) {
 }
 
 TEST(CsvTest, WritesFile) {
-  const std::string path = "/tmp/apf_csv_test.csv";
+  const TestTempDir tmp;
+  const std::string path = tmp.file("test.csv");
   {
     CsvWriter csv(path, {"h"});
     csv.row({"v"});
@@ -96,11 +97,11 @@ TEST(CsvTest, WritesFile) {
   std::string all((std::istreambuf_iterator<char>(in)),
                   std::istreambuf_iterator<char>());
   EXPECT_EQ(all, "h\nv\n");
-  std::remove(path.c_str());
 }
 
 TEST(SvgTest, ProducesWellFormedFile) {
-  const std::string path = "/tmp/apf_svg_test.svg";
+  const TestTempDir tmp;
+  const std::string path = tmp.file("test.svg");
   SvgScene scene;
   scene.addLayer({polygonPattern(6), "#1f77b4", 0.03, false});
   scene.addLayer({starPattern(6), "#d62728", 0.03, true});
@@ -116,7 +117,6 @@ TEST(SvgTest, ProducesWellFormedFile) {
   EXPECT_NE(all.find("<circle"), std::string::npos);
   EXPECT_NE(all.find("<polyline"), std::string::npos);
   EXPECT_NE(all.find("<line"), std::string::npos);
-  std::remove(path.c_str());
 }
 
 }  // namespace

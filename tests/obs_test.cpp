@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -18,6 +17,7 @@
 #include "obs/recorder.h"
 #include "obs/stats.h"
 #include "sim/engine.h"
+#include "tmpdir.h"
 
 namespace apf {
 namespace {
@@ -254,24 +254,20 @@ TEST(ObsManifestTest, DescribeRunCapturesEveryOption) {
 TEST(ObsManifestTest, FileRoundTripAndLoudFailure) {
   obs::Manifest m;
   m.set("answer", 42);
-  const std::string path = "/tmp/apf_obs_manifest_test.json";
+  const TestTempDir tmp;
+  const std::string path = tmp.file("manifest.json");
   m.write(path);
   const obs::JsonObject back = obs::loadFlatJsonFile(path);
   EXPECT_EQ(back.at("answer").asNumber(), 42.0);
-  std::remove(path.c_str());
   // Missing parent directories are created rather than erroring loudly
   // (results/ trees need not pre-exist).
-  const std::string nested =
-      "/tmp/apf_obs_manifest_nested/sub/dir/x.json";
+  const std::string nested = tmp.file("nested/sub/dir/x.json");
   m.write(nested);
   EXPECT_EQ(obs::loadFlatJsonFile(nested).at("answer").asNumber(), 42.0);
-  std::filesystem::remove_all("/tmp/apf_obs_manifest_nested");
   // A genuinely unwritable path (a parent component is a regular FILE,
   // so no directory can be created there) still throws.
-  { std::ofstream block("/tmp/apf_obs_manifest_block"); }
-  EXPECT_THROW(m.write("/tmp/apf_obs_manifest_block/x.json"),
-               std::runtime_error);
-  std::remove("/tmp/apf_obs_manifest_block");
+  { std::ofstream block(tmp.file("block")); }
+  EXPECT_THROW(m.write(tmp.file("block/x.json")), std::runtime_error);
   EXPECT_THROW(obs::loadFlatJsonFile("/nonexistent/nope.json"),
                std::runtime_error);
 }
@@ -364,7 +360,8 @@ TEST(ObsEngineTest, EventLogMatchesMetricsExactly) {
 TEST(ObsEngineTest, JsonlSinkRoundTrip) {
   const ElectionScenario sc;
   core::FormPatternAlgorithm algo;
-  const std::string path = "/tmp/apf_obs_jsonl_test.jsonl";
+  const TestTempDir tmp;
+  const std::string path = tmp.file("test.jsonl");
   sim::EngineOptions opts = electionOptions(104);
   obs::JsonlRecorder rec(path);
   opts.recorder = &rec;
@@ -394,12 +391,12 @@ TEST(ObsEngineTest, JsonlSinkRoundTrip) {
   EXPECT_EQ(lastKind, "run_end");
   EXPECT_EQ(perPhase, res.metrics.phaseActivations);
   EXPECT_EQ(bits, res.metrics.randomBits);
-  std::remove(path.c_str());
 }
 
 TEST(ObsEngineTest, JsonlSinkCreatesParentDirsAndThrowsWhenUnwritable) {
   // Missing parent directories are created on demand.
-  const std::string nested = "/tmp/apf_obs_jsonl_nested/sub/log.jsonl";
+  const TestTempDir tmp;
+  const std::string nested = tmp.file("nested/sub/log.jsonl");
   {
     obs::JsonlRecorder rec(nested);
     obs::Event e{};
@@ -407,16 +404,15 @@ TEST(ObsEngineTest, JsonlSinkCreatesParentDirsAndThrowsWhenUnwritable) {
     rec.record(e);
   }
   EXPECT_TRUE(std::filesystem::exists(nested));
-  std::filesystem::remove_all("/tmp/apf_obs_jsonl_nested");
   // A parent component that is a regular file still fails loudly.
-  { std::ofstream block("/tmp/apf_obs_jsonl_block"); }
-  EXPECT_THROW(obs::JsonlRecorder("/tmp/apf_obs_jsonl_block/log.jsonl"),
+  { std::ofstream block(tmp.file("block")); }
+  EXPECT_THROW(obs::JsonlRecorder(tmp.file("block/log.jsonl")),
                std::runtime_error);
-  std::remove("/tmp/apf_obs_jsonl_block");
 }
 
 TEST(ObsEngineTest, JsonlRecorderDestructorFlushesToDisk) {
-  const std::string path = "/tmp/apf_obs_jsonl_flush_test.jsonl";
+  const TestTempDir tmp;
+  const std::string path = tmp.file("flush.jsonl");
   {
     obs::JsonlRecorder rec(path);
     obs::Event e{};
@@ -428,7 +424,6 @@ TEST(ObsEngineTest, JsonlRecorderDestructorFlushesToDisk) {
   std::string line;
   ASSERT_TRUE(std::getline(in, line));
   EXPECT_TRUE(obs::parseFlatObject(line).has_value()) << line;
-  std::remove(path.c_str());
 }
 
 TEST(ObsEngineTest, JsonlRecorderFailingStreamThrowsOnUseNotOnDestroy) {

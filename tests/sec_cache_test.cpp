@@ -1,15 +1,19 @@
 /// Configuration's memoized smallest enclosing circle: the cache must be
 /// invisible — sec() always returns exactly what a fresh Welzl run over the
-/// current points returns, across mutation, copy, and move. Labelled `perf`
+/// current points returns, across mutation, copy, and move. The per-thread
+/// Welzl insertion orders behind smallestEnclosingCircle must be invisible
+/// too, with several threads calling the kernels at once. Labelled `perf`
 /// so the TSan CI lane runs it alongside the campaign tests.
 
 #include <gtest/gtest.h>
 
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "config/configuration.h"
 #include "config/generator.h"
+#include "config/symmetry.h"
 #include "geom/sec.h"
 
 namespace apf::config {
@@ -103,6 +107,70 @@ TEST(SecCacheTest, MoveTransfersCacheAndResetsSource) {
   d = std::move(c);  // move-assignment path
   EXPECT_EQ(d.sec().radius, cOrig.radius);
   expectSecFresh(d, "move-assigned target");
+}
+
+/// Everything the SEC, SEC-holder and symmetry-axis kernels return for one
+/// configuration.
+struct KernelResults {
+  Circle sec;
+  std::vector<std::size_t> holders;
+  std::vector<double> axes;
+
+  static KernelResults of(const Configuration& p) {
+    const Circle sec = geom::smallestEnclosingCircle(p.span());
+    return {sec, geom::secHolders(p.span()), symmetryAxes(p, sec.center)};
+  }
+  bool operator==(const KernelResults& o) const {
+    return sec.center.x == o.sec.center.x && sec.center.y == o.sec.center.y &&
+           sec.radius == o.sec.radius && holders == o.holders &&
+           axes == o.axes;
+  }
+};
+
+TEST(SecCacheTest, KernelsFromFourThreadsMatchSingleThread) {
+  // Sizes 2..64, symmetric and random, so the threads need different
+  // insertion orders at the same moment.
+  std::vector<Configuration> inputs;
+  Rng rng(64);
+  for (std::size_t n = 2; n <= 64; ++n) {
+    inputs.push_back(n % 2 == 0 ? symmetricConfiguration(
+                                      static_cast<int>(n / 2), 2, rng)
+                                : randomConfiguration(n, rng, 5.0, 0.05));
+  }
+
+  // The threads run first, so any state the kernels keep is cold when they
+  // start and is built while they race. Each walks the sizes from its own
+  // offset with its own stride, so the threads are mostly on different
+  // sizes at any moment.
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kRounds = 3;
+  const std::size_t count = inputs.size();
+  const auto inputAt = [count](std::size_t t, std::size_t k) {
+    return (t * 16 + k * (2 * t + 1)) % count;  // strides coprime with 63
+  };
+  std::vector<std::vector<KernelResults>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t k = 0; k < kRounds * count; ++k) {
+        got[t].push_back(KernelResults::of(inputs[inputAt(t, k)]));
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  std::vector<KernelResults> expected;
+  for (const Configuration& p : inputs) {
+    expected.push_back(KernelResults::of(p));
+  }
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(got[t].size(), kRounds * count);
+    for (std::size_t k = 0; k < got[t].size(); ++k) {
+      const std::size_t i = inputAt(t, k);
+      EXPECT_TRUE(got[t][k] == expected[i])
+          << "thread " << t << " call " << k << " n=" << inputs[i].size();
+    }
+  }
 }
 
 }  // namespace

@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <fstream>
 #include <string>
 
@@ -17,6 +16,7 @@
 #include "obs/json.h"
 #include "sim/fuzzer.h"
 #include "sim/shrink.h"
+#include "tmpdir.h"
 
 namespace apf::sim {
 namespace {
@@ -96,26 +96,22 @@ TEST(ShrinkTest, ReproCaseJsonRoundTripsBitExact) {
 }
 
 TEST(ShrinkTest, SaveAndLoadReproThroughMissingDirectories) {
-  const auto dir = std::filesystem::temp_directory_path() / "apf_shrink_test";
-  std::filesystem::remove_all(dir);
-  const std::string path = (dir / "deep" / "nested" / "case.repro.json").string();
+  const TestTempDir tmp;
+  const std::string path = tmp.file("deep/nested/case.repro.json");
   const ReproCase c = denseCase();
   saveRepro(path, c);  // must create deep/nested/ itself
   const ReproCase d = loadRepro(path);
   EXPECT_EQ(toJson(d), toJson(c));
-  std::filesystem::remove_all(dir);
 }
 
 TEST(ShrinkTest, LoadReproRejectsWrongSchema) {
-  const auto dir = std::filesystem::temp_directory_path() / "apf_shrink_test2";
-  std::filesystem::create_directories(dir);
-  const std::string path = (dir / "bad.repro.json").string();
+  const TestTempDir tmp;
+  const std::string path = tmp.file("bad.repro.json");
   {
     std::ofstream os(path);
     os << "{\"repro\":\"apf.other.v9\",\"algo\":\"form\"}\n";
   }
   EXPECT_THROW(loadRepro(path), std::runtime_error);
-  std::filesystem::remove_all(dir);
 }
 
 TEST(ShrinkTest, ReproFromFailureCarriesExactReplayCoordinates) {
@@ -231,16 +227,14 @@ TEST(ShrinkTest, ShrinkerMinimizesSeededViolationAndReproReplays) {
   EXPECT_EQ(rep.violationKind, found.violationKind);
 
   // ...and survives the .repro.json round-trip apf_sim --replay consumes.
-  const auto dir = std::filesystem::temp_directory_path() / "apf_shrink_demo";
-  std::filesystem::remove_all(dir);
-  const std::string path = (dir / "min.repro.json").string();
+  const TestTempDir tmp;
+  const std::string path = tmp.file("min.repro.json");
   saveRepro(path, r.minimized);
   const ReproCase loaded = loadRepro(path);
   EXPECT_EQ(toJson(loaded), toJson(r.minimized));
   const ReplayResult rep2 = replay(loaded, algo);
   EXPECT_TRUE(rep2.reproduces(loaded));
   EXPECT_EQ(rep2.violationEvent, rep.violationEvent);
-  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

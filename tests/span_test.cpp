@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -20,6 +19,7 @@
 #include "obs/json.h"
 #include "obs/span.h"
 #include "sim/engine.h"
+#include "tmpdir.h"
 
 namespace apf {
 namespace {
@@ -209,15 +209,14 @@ TEST(SpanTest, ChromeTraceIsStructurallyValidTraceEventJson) {
 TEST(SpanTest, ChromeTraceCreatesParentDirsAndThrowsWhenUnwritable) {
   obs::SpanCollector collector;
   // Missing parent directories are created on demand.
-  const std::string nested = "/tmp/apf_span_nested/sub/x.trace.json";
+  const TestTempDir tmp;
+  const std::string nested = tmp.file("nested/sub/x.trace.json");
   collector.writeChromeTrace(nested);
   EXPECT_TRUE(std::filesystem::exists(nested));
-  std::filesystem::remove_all("/tmp/apf_span_nested");
   // A parent component that is a regular file still fails loudly.
-  { std::ofstream block("/tmp/apf_span_block"); }
-  EXPECT_THROW(collector.writeChromeTrace("/tmp/apf_span_block/x.json"),
+  { std::ofstream block(tmp.file("block")); }
+  EXPECT_THROW(collector.writeChromeTrace(tmp.file("block/x.json")),
                std::runtime_error);
-  std::remove("/tmp/apf_span_block");
 }
 
 TEST(SpanTest, EmptyCollectorWritesValidTrace) {

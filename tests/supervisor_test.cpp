@@ -12,8 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -29,6 +27,7 @@
 #include "sim/campaign.h"
 #include "sim/engine.h"
 #include "sim/supervisor.h"
+#include "tmpdir.h"
 
 namespace apf::sim {
 namespace {
@@ -320,16 +319,7 @@ TEST(SupervisorTest, OutOfOrderMailboxBuffersWhileIndexZeroRetries) {
 
 class JournalDir : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "apf_supervisor_test";
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-
-  std::string path(const std::string& name) const {
-    return (dir_ / name).string();
-  }
+  std::string path(const std::string& name) const { return tmp_.file(name); }
   static std::string slurp(const std::string& p) {
     std::ifstream is(p, std::ios::binary);
     std::ostringstream buf;
@@ -337,7 +327,7 @@ class JournalDir : public ::testing::Test {
     return buf.str();
   }
 
-  std::filesystem::path dir_;
+  TestTempDir tmp_;
 };
 
 TEST_F(JournalDir, KillAndResumeMergesAndConvergesBitIdentical) {

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 
 #include "config/generator.h"
@@ -11,6 +10,7 @@
 #include "io/serialize.h"
 #include "sim/engine.h"
 #include "sim/trace.h"
+#include "tmpdir.h"
 
 namespace apf {
 namespace {
@@ -48,12 +48,12 @@ TEST(SerializeTest, MalformedInputThrows) {
 }
 
 TEST(SerializeTest, FileRoundTrip) {
-  const std::string path = "/tmp/apf_serialize_test.txt";
+  const TestTempDir tmp;
+  const std::string path = tmp.file("config.txt");
   const Configuration c = io::starPattern(7);
   io::saveConfiguration(path, c);
   const Configuration back = io::loadConfiguration(path);
   EXPECT_TRUE(config::coincident(c, back));
-  std::remove(path.c_str());
 }
 
 TEST(TraceTest, RecordsEveryPositionChange) {
@@ -173,7 +173,8 @@ TEST(TraceTest, CsvHasHeaderAndRows) {
   sim::Trace trace;
   trace.attach(eng);
   eng.run();
-  const std::string path = "/tmp/apf_trace_test.csv";
+  const TestTempDir tmp;
+  const std::string path = tmp.file("trace.csv");
   trace.writeCsv(path);
   std::ifstream in(path);
   std::string header;
@@ -183,7 +184,6 @@ TEST(TraceTest, CsvHasHeaderAndRows) {
   std::string line;
   while (std::getline(in, line)) ++rows;
   EXPECT_EQ(rows, trace.steps().size());
-  std::remove(path.c_str());
 }
 
 }  // namespace
