@@ -4,8 +4,9 @@
 /// Umbrella header for the APF simulator's public surface. Including this
 /// single header gives a consumer the whole stack a tool binary needs:
 /// configurations and pattern generators, the event-driven engine, the
-/// campaign/supervisor/shard execution layers, fault injection, adaptive
-/// estimation, and the observability + environment plumbing.
+/// one campaign executor (thread pool, supervisor, journaled runShard),
+/// fault injection, adaptive estimation, and the observability +
+/// environment plumbing.
 ///
 /// The grouping below mirrors the library layering (src/*/CMakeLists.txt):
 /// each block corresponds to one static library, listed roughly

@@ -1,46 +1,32 @@
 #pragma once
 
 /// \file shard.h
-/// Multi-process sharded campaign execution behind a versioned wire API
-/// (docs/API.md, docs/RESILIENCE.md).
+/// A campaign as one value, and the journaled, supervised executor that
+/// runs any slice of it (docs/API.md, docs/RESILIENCE.md).
 ///
-/// PR 3's thread pool tops out at one process on one machine, but the
-/// Monte Carlo campaigns validating the paper's ASYNC claims are
-/// embarrassingly parallel across runs. This layer splits a campaign's run
-/// indices into contiguous shards, hands each shard to a worker *process*
-/// (tools/apf_worker.cpp — spawned locally by the coordinator here, or
-/// placed on another machine by an external launcher via `--shard i/k`),
-/// and merges the per-shard journals back into one file.
-///
-/// The wire contract is ShardSpec (`apf.shard.v1`): everything a worker
-/// needs to execute any slice of the campaign — scenario (algorithm name,
-/// robot count, resolved pattern points, start recipe, scheduler), seeds,
-/// the base fault plan (fault::toJson), and the supervisor knobs
-/// (watchdog budgets, retry policy). The spec's canonical JSON doubles as
-/// the journal config key, so a worker started against the journal of a
-/// DIFFERENT campaign — or a spec from a future schema version — refuses
-/// loudly instead of merging garbage.
+/// ShardSpec (`apf.shard.v1`) describes a whole Monte Carlo campaign: the
+/// scenario (algorithm name, robot count, resolved pattern points, start
+/// recipe, scheduler), seeds, the base fault plan (fault::toJson), and the
+/// supervisor knobs (watchdog budgets, retry policy). Its canonical JSON is
+/// the journal config key, compared byte for byte and never decoded, so
+/// resuming a journal of a DIFFERENT campaign refuses loudly instead of
+/// merging garbage. tests/shard_test.cpp pins the key's bytes, so a journal
+/// written by an earlier build still resumes.
 ///
 /// Determinism contract (tests/shard_test.cpp, tools/kill_resume_check.sh):
-///  * runShard(spec, algo, 0, spec.runs) is the single-process campaign:
-///    apf_sim's --campaign mode is implemented on it, so the sharded and
-///    unsharded paths cannot drift apart.
+///  * runShard(spec, algo, 0, spec.runs) is the whole campaign; apf_sim's
+///    --campaign mode is implemented on it.
 ///  * A run's payload depends only on (spec, global run index, attempt
-///    salt) — never on which shard or process executed it. Shard journals
-///    record GLOBAL run indices.
-///  * mergeShardJournals appends entries in ascending global index through
-///    the same CampaignJournal code path a single-process campaign uses,
-///    so the merged file is byte-identical to an `APF_JOBS=1` journal by
-///    construction — including after a worker or the coordinator was
-///    SIGKILLed and resumed.
-///  * Worker processes get supervisor-style treatment (wall-clock
-///    watchdog -> SIGKILL -> bounded retry -> shard quarantine). A
-///    relaunched worker resumes its shard journal, so retries re-run only
-///    the runs that never journaled.
+///    salt), never on the slice, thread or call that executed it. Journals
+///    record GLOBAL run indices, so running [0, runs) in any sequence of
+///    slices on one journal writes the same bytes as one call.
+///  * The journal is appended before a payload is delivered, and a resumed
+///    journal replays its payloads verbatim, so a campaign killed and
+///    resumed converges byte-identical to an uninterrupted one at any
+///    thread count.
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "config/configuration.h"
@@ -51,11 +37,9 @@
 
 namespace apf::sim {
 
-/// Versioned wire description of a whole campaign (`apf.shard.v1`). Value
-/// semantics; `toJson`/`shardSpecFromJson` round-trip every field bit for
-/// bit (doubles via obs::jsonNumber, seeds via raw-token parsing), and
-/// re-encoding a decoded spec reproduces the exact same bytes — the
-/// fixed-point property the journal config key relies on.
+/// Versioned description of a whole campaign (`apf.shard.v1`). Value
+/// semantics; toJson encodes every field (doubles via obs::jsonNumber), and
+/// those bytes are the journal config key.
 struct ShardSpec {
   static constexpr const char* kSchema = "apf.shard.v1";
 
@@ -85,8 +69,7 @@ struct ShardSpec {
   /// unless `faultSeedSet` pins `fault.seed` for every run.
   fault::FaultPlan fault;
   bool faultSeedSet = false;
-  // Supervisor knobs (per RUN, inside a worker; the coordinator's per
-  // WORKER watchdog lives in CoordinatorOptions).
+  // Supervisor knobs, applied to every run.
   std::uint64_t watchdogEvents = 0;
   std::uint64_t watchdogMs = 0;
   int retries = 2;
@@ -94,32 +77,15 @@ struct ShardSpec {
 
 /// Canonical single-line JSON encoding (schema field first).
 std::string toJson(const ShardSpec& spec);
-/// Inverse of toJson. Unknown keys are ignored (forward compatibility
-/// within v1) but an unknown/missing schema string throws — a worker must
-/// never guess at a spec from a different wire version.
-ShardSpec shardSpecFromJson(std::string_view text);
-ShardSpec loadShardSpec(const std::string& path);
-/// Writes toJson() + newline, creating parent directories.
-void saveShardSpec(const std::string& path, const ShardSpec& spec);
 
 /// The journal config key: the spec's canonical JSON itself. Any spec
-/// difference — including a future schema bump — makes shard journals
-/// refuse to merge (CampaignJournal's config-mismatch check).
+/// difference, including a future schema bump, makes CampaignJournal
+/// refuse to resume the journal (its config-mismatch check).
 std::string shardConfigKey(const ShardSpec& spec);
 
 /// Empty string when the spec is executable; otherwise a human-readable
 /// reason (pattern/robot count mismatch, crashF >= n, invalid plan, ...).
 std::string validateShardSpec(const ShardSpec& spec);
-
-/// Contiguous, balanced partition of [0, runs): shard `index` of `count`
-/// owns [lo, hi). Shards differ in size by at most one run and cover the
-/// range exactly.
-struct ShardRange {
-  std::uint64_t lo = 0;
-  std::uint64_t hi = 0;
-  std::uint64_t size() const { return hi - lo; }
-};
-ShardRange shardRange(std::uint64_t runs, unsigned index, unsigned count);
 
 /// The per-run supervisor policy encoded in the spec.
 SupervisorOptions shardSupervisorOptions(const ShardSpec& spec,
@@ -128,7 +94,7 @@ SupervisorOptions shardSupervisorOptions(const ShardSpec& spec,
 /// Executes ONE run of the campaign: global index `runIndex`, retry salt
 /// folded in via `att`. Deterministic given (spec, runIndex, att.seedSalt)
 /// — the payload carries no wall-clock or process-identity fields, which
-/// is what makes sharded output byte-comparable. This is the exact worker
+/// is what makes campaign output byte-comparable. This is the exact worker
 /// apf_sim's --campaign mode always ran; see the .cpp for the
 /// field-by-field contract.
 std::string runScenarioPayload(const ShardSpec& spec, const Algorithm& algo,
@@ -146,90 +112,5 @@ SupervisorReport runShard(const ShardSpec& spec, const Algorithm& algo,
                           CampaignJournal* journal, obs::Recorder* recorder,
                           int jobs = 0, CampaignStats* stats = nullptr,
                           std::vector<std::string>* payloads = nullptr);
-
-/// Merges shard journals into `mergedPath`, appending entries in ascending
-/// global run index through the same CampaignJournal append path a
-/// single-process campaign uses — the merged file is byte-identical to an
-/// uninterrupted `APF_JOBS=1` journal of the same spec. Every shard
-/// journal must carry this spec's config key (throws otherwise). Returns
-/// the number of merged entries (quarantined runs have none).
-std::size_t mergeShardJournals(const ShardSpec& spec,
-                               const std::vector<std::string>& shardJournals,
-                               const std::string& mergedPath);
-
-/// How the coordinator launches and supervises worker processes.
-struct CoordinatorOptions {
-  /// Worker binary; empty = resolveWorkerPath("") (APF_WORKER, then next
-  /// to the current executable).
-  std::string workerPath;
-  unsigned shards = 4;
-  /// Scratch directory for the spec file, per-shard journals, reports, and
-  /// worker logs. Created if missing.
-  std::string workDir;
-  /// Thread-pool width inside each worker (default 1: process-level
-  /// parallelism is the point here).
-  int jobsPerWorker = 1;
-  /// Per-ATTEMPT wall deadline for a worker process; 0 = none. On expiry
-  /// the worker is SIGKILLed and retried — its shard journal survives, so
-  /// the retry re-runs only what never journaled.
-  std::uint64_t workerWallBudgetNanos = 0;
-  /// Process-level retry budget per shard (attempt 0 + maxRetries more).
-  int maxRetries = 2;
-  /// False: fresh campaign — stale shard journals in workDir are removed
-  /// first. True: resume — workers continue their shard journals, a
-  /// restarted coordinator re-runs nothing that already journaled.
-  bool resume = false;
-  /// Progress lines on stderr (never stdout — that belongs to the caller's
-  /// byte-compared output).
-  bool verbose = false;
-  /// Where the merged journal lands; empty = `<workDir>/merged.journal`.
-  std::string mergedJournalPath;
-};
-
-/// One worker-process attempt, classified like AttemptFailure but at
-/// process granularity.
-struct ShardAttempt {
-  int number = 0;
-  int exitCode = -1;     ///< process exit code; -1 when signaled
-  int termSignal = 0;    ///< terminating signal; 0 when exited
-  bool timedOut = false; ///< coordinator watchdog fired (SIGKILL)
-};
-
-/// Outcome of one shard: its range, every process attempt, and the
-/// worker's own SupervisorReport (parsed back from its report file).
-struct ShardOutcome {
-  unsigned index = 0;
-  ShardRange range;
-  bool ok = false;           ///< a worker attempt finished the shard
-  std::vector<ShardAttempt> attempts;
-  SupervisorReport report;   ///< zero-initialized when !ok
-  std::string journalPath;
-  std::string logPath;       ///< worker stdout+stderr capture
-};
-
-struct CoordinatorReport {
-  std::vector<ShardOutcome> shards;
-  /// Per-run aggregate: the absorbed worker reports, in shard order.
-  SupervisorReport runs;
-  std::string mergedJournalPath;
-  bool allShardsOk() const;
-};
-
-/// Worker binary resolution: `explicitPath` if non-empty, else APF_WORKER
-/// (cli::env()), else `apf_worker` next to the running executable, else
-/// `../tools/apf_worker` relative to it (bench binaries live in a sibling
-/// directory of tools/). Returns "" when nothing exists.
-std::string resolveWorkerPath(const std::string& explicitPath);
-
-/// The coordinator: writes the spec into workDir, launches one apf_worker
-/// per shard, supervises them (wall watchdog -> SIGKILL -> bounded retry
-/// -> shard quarantine), then merges the shard journals into
-/// `workDir/merged.journal` and absorbs the worker reports. Exit-code
-/// policy: 0/1 complete the attempt; 2 (usage/spec error) is fatal — no
-/// retry can fix a bad spec; 4 (shard journal locked by an orphan) and
-/// signals/crashes are retryable. Throws std::runtime_error when no
-/// worker binary can be resolved or the spec fails validation.
-CoordinatorReport runShardedCampaign(const ShardSpec& spec,
-                                     const CoordinatorOptions& opts);
 
 }  // namespace apf::sim

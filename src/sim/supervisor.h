@@ -23,10 +23,11 @@
 ///    quarantined immediately with `deterministic = true`. Only a
 ///    *differing* second failure rotates the seed (retrySeedSalt) for
 ///    later attempts.
-///  * With a CampaignJournal attached, merged results always pass through
-///    the codec (decode(encode(r))), so a resumed campaign — which replays
-///    decoded journal payloads for completed items — merges bit-identical
-///    to an uninterrupted one by construction.
+///  * CampaignJournal checkpoints string payloads. The journaled executor
+///    (sim::runShard, sim/shard.h) journals each payload before delivering
+///    it and replays journaled payloads verbatim, so a resumed campaign
+///    delivers bit-identical payloads to an uninterrupted one by
+///    construction.
 ///
 /// Quarantine is a structured report, not an abort: persistently failing
 /// items are recorded (index, classified failure kinds, per-attempt
@@ -35,11 +36,9 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <functional>
 #include <map>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -198,15 +197,6 @@ struct SupervisorReport {
   void write(const std::string& path) const;
 };
 
-/// Inverse of SupervisorReport::toJson — the wire path a sharded
-/// coordinator absorbs worker-process reports through (sim/shard.h).
-/// Throws std::runtime_error on malformed input or a schema other than
-/// "apf.supervisor.v1" (cross-version reports must be refused loudly, not
-/// merged approximately).
-SupervisorReport supervisorReportFromJson(std::string_view text);
-/// Reads and parses a report file written by SupervisorReport::write.
-SupervisorReport loadSupervisorReport(const std::string& path);
-
 /// `supervisor.*` manifest keys (consumed by apf_report's resilience
 /// section). Options and report are serialized together so a manifest
 /// records both the policy and what it did.
@@ -215,9 +205,8 @@ void appendManifest(const SupervisorOptions& opts,
 
 /// Resume-invariant variant: collapses the fresh-vs-replayed split into a
 /// single `supervisor.finished` key (their sum IS invariant) so a resumed
-/// or sharded campaign's manifest stays byte-identical to an
-/// uninterrupted single-process one — the same reasoning that keeps the
-/// split out of apf_sim's --json document.
+/// campaign's manifest stays byte-identical to an uninterrupted one — the
+/// same reasoning that keeps the split out of apf_sim's --json document.
 void appendManifestInvariant(const SupervisorOptions& opts,
                              const SupervisorReport& report,
                              obs::Manifest& manifest);
@@ -257,16 +246,6 @@ class CampaignJournal {
   std::map<std::size_t, std::string> entries_;
   std::FILE* file_ = nullptr;
   bool recoveredTornLine_ = false;
-};
-
-/// Result codec for journaled campaigns. `decode(encode(r))` must be a
-/// fixed point w.r.t. merge (the supervisor ALWAYS merges the decoded
-/// re-encoding when a journal is attached, so fresh and resumed campaigns
-/// cannot diverge even if the codec is lossy).
-template <typename Result>
-struct JournalCodec {
-  std::function<std::string(const Result&)> encode;
-  std::function<Result(const std::string&)> decode;
 };
 
 namespace detail {
@@ -315,7 +294,7 @@ Supervised<Result> runAttempts(const Item& item, std::size_t index,
   return out;
 }
 
-/// Merge-thread bookkeeping shared by the plain and journaled overloads:
+/// Merge-thread bookkeeping shared by superviseCampaign and sim::runShard:
 /// classifies failures into the report and emits supervisor events (on the
 /// merge thread only — Recorder is not thread-safe, and merge order makes
 /// the event log deterministic).
@@ -376,74 +355,6 @@ SupervisorReport superviseCampaign(const std::vector<Item>& items,
         }
       },
       jobs, stats);
-  return report;
-}
-
-/// Journaled overload: items already present in `journal` are NOT re-run —
-/// their payloads are decoded and merged in place (report.replayed) — and
-/// every freshly completed item is appended + fsync'd before its merge
-/// callback runs, so a crash after the callback never loses the item.
-/// Merged values always pass through decode(encode(...)); see
-/// JournalCodec for why that makes resume bit-identical by construction.
-template <typename Item, typename Worker, typename Merge>
-SupervisorReport superviseCampaign(const std::vector<Item>& items,
-                                   Worker&& worker, Merge&& merge,
-                                   CampaignJournal& journal,
-                                   const JournalCodec<std::invoke_result_t<
-                                       Worker&, const Item&, std::size_t,
-                                       const Attempt&>>& codec,
-                                   const SupervisorOptions& opts = {},
-                                   int jobs = 0,
-                                   CampaignStats* stats = nullptr) {
-  using Result = std::invoke_result_t<Worker&, const Item&, std::size_t,
-                                      const Attempt&>;
-  SupervisorReport report;
-  report.items = items.size();
-  detail::MergeSink sink(report, opts);
-
-  // Only the incomplete indices go to the pool; completed ones replay from
-  // the journal. Merge callbacks still fire in GLOBAL index order: before
-  // merging fresh item i, every journaled item < i is flushed first.
-  std::vector<std::size_t> todo;
-  todo.reserve(items.size());
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (!journal.has(i)) todo.push_back(i);
-  }
-
-  std::size_t cursor = 0;  // first index not yet handed to merge
-  auto flushJournaled = [&](std::size_t limit) {
-    for (; cursor < limit; ++cursor) {
-      if (const std::string* payload = journal.payload(cursor)) {
-        ++report.replayed;
-        merge(cursor, codec.decode(*payload));
-      }
-    }
-  };
-
-  runCampaign(
-      todo,
-      [&worker, &opts, &items](std::size_t index, std::size_t) {
-        return detail::runAttempts<Item, Worker, Result>(items[index], index,
-                                                         worker, opts);
-      },
-      [&](std::size_t t, detail::Supervised<Result>&& s) {
-        const std::size_t index = todo[t];
-        flushJournaled(index);
-        cursor = index + 1;
-        if (s.ok) {
-          sink.recordRetries(index, s.failures);
-          const std::string payload = codec.encode(s.result);
-          journal.append(index, payload);
-          sink.recordCheckpoint(index, payload.size());
-          ++report.completed;
-          merge(index, codec.decode(payload));
-        } else {
-          sink.recordQuarantine(index, s.deterministic,
-                                std::move(s.failures));
-        }
-      },
-      jobs, stats);
-  flushJournaled(items.size());
   return report;
 }
 

@@ -10,7 +10,6 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -20,6 +19,7 @@
 #include "est/stopping.h"
 #include "sched/seed.h"
 #include "sim/supervisor.h"
+#include "tmpdir.h"
 
 namespace apf {
 namespace {
@@ -358,10 +358,8 @@ TEST(AdaptiveTest, TrialSeedsComeFromTheAuditedDerivation) {
 }
 
 TEST(AdaptiveTest, JournalResumeRerunsNothing) {
-  const std::string path =
-      (std::filesystem::path(::testing::TempDir()) / "est_resume.journal")
-          .string();
-  std::filesystem::remove(path);
+  const TestTempDir tmp;
+  const std::string path = tmp.file("est_resume.journal");
   est::AdaptiveOptions opts;
   opts.baseSeed = 5;
   opts.jobs = 2;
@@ -392,7 +390,6 @@ TEST(AdaptiveTest, JournalResumeRerunsNothing) {
     EXPECT_EQ(again.toJson(), first);
   }
   EXPECT_EQ(executed.load(), 0);
-  std::filesystem::remove(path);
 }
 
 TEST(AdaptiveTest, ManifestCarriesTheArm) {

@@ -1,32 +1,27 @@
 /// \file shard_test.cpp
-/// The apf.shard.v1 wire contract and the sharded-execution determinism
-/// guarantees (src/sim/shard.h):
+/// The campaign spec and the journaled executor (src/sim/shard.h):
 ///
-///  * ShardSpec round-trips through its canonical JSON, and re-encoding a
-///    decoded spec is a byte-level fixed point — the property the journal
-///    config key relies on.
-///  * A spec from a different wire version is refused loudly, never
-///    guessed at.
-///  * shardRange is a contiguous, balanced, exact partition of [0, runs).
+///  * shardConfigKey's bytes are pinned, so a journal written by an
+///    earlier build still resumes; the fixed start is on the wire only
+///    when it is authoritative; validation catches inconsistent specs.
 ///  * A run's payload depends only on (spec, global index, attempt salt).
-///  * Merging shard journals yields a file byte-identical to the journal
-///    of a single-process run — on scripted (fixed points), fuzz (random
-///    starts), and fault-plan campaigns, serial and on a thread pool —
-///    and resuming a partially-journaled shard converges to the same
-///    bytes.
-///  * Journals of a different campaign refuse to merge.
+///  * runShard over slices of [0, runs) on one journal (an uneven 3-way
+///    split and per-run slices [i, i+1), serially and on a thread pool)
+///    writes the same journal bytes and delivers the same payloads as one
+///    serial [0, runs) call, on scripted (fixed points), fuzz (random
+///    starts) and fault-plan campaigns.
+///  * A campaign killed mid-append (torn journal tail) resumes to the
+///    uninterrupted payloads and journal bytes, serially and on a thread
+///    pool.
 ///
-/// The process-level coordinator (fork/exec, watchdogs, retries) is
-/// exercised end to end by tools/kill_resume_check.sh and the
-/// campaign_sharded bench row; these tests pin the in-process layers those
-/// drills build on.
+/// tools/kill_resume_check.sh repeats the kill-and-resume drill on the
+/// apf_sim binary with real SIGKILLs.
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
+#include <cstdint>
 #include <fstream>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -35,6 +30,7 @@
 #include "io/patterns.h"
 #include "sim/shard.h"
 #include "sim/supervisor.h"
+#include "tmpdir.h"
 
 namespace apf::sim {
 namespace {
@@ -45,10 +41,6 @@ std::string readAll(const std::string& path) {
   std::ostringstream buf;
   buf << is.rdbuf();
   return buf.str();
-}
-
-std::string tempPath(const std::string& name) {
-  return (std::filesystem::path(::testing::TempDir()) / name).string();
 }
 
 /// "scripted" workload: every run starts from the same fixed points.
@@ -96,73 +88,49 @@ ShardSpec faultSpec() {
 
 // ------------------------------------------------------------------ wire --
 
-TEST(ShardSpecTest, RoundTripPreservesEveryField) {
-  ShardSpec s = faultSpec();
-  s.startKind = "points";
-  config::Rng rng(5);
-  s.start = config::randomConfiguration(6, rng, 5.0, 0.1);
+TEST(ShardSpecTest, ConfigKeyBytesArePinned) {
+  // The config key is compared byte for byte against every journal's
+  // header, so any change to these bytes strands existing journals. The
+  // second spec covers a points start, SSync, crash_f, a pinned fault seed
+  // and a double (0.1 + 0.2) that needs all 17 digits to round-trip.
+  EXPECT_EQ(shardConfigKey(faultSpec()),
+      R"({"shard":"apf.shard.v1","algo":"form","n":6,)"
+      R"("pattern_label":"star","pattern":[[1,0],[0.22500000000000006,)"
+      R"(0.3897114317029974],[-0.4999999999999998,0.8660254037844387],)"
+      R"([-0.45,5.5109105961630896e-17],[-0.5000000000000004,)"
+      R"(-0.8660254037844384],[0.22500000000000006,-0.3897114317029974]],)"
+      R"("start_kind":"random","sched":"ASYNC","base_seed":31,"runs":8,)"
+      R"("max_events":1500,"delta":0.05,"multiplicity":false,)"
+      R"("chirality":false,"crash_f":1,"crash_horizon":500,)"
+      R"("fault":{"crashes":[],"noise_sigma":0.02,"omit_prob":0,)"
+      R"("mult_flip_prob":0,"drop_prob":0,"trunc_prob":0.1,"seed":0},)"
+      R"("fault_seed_set":false,"watchdog_events":0,"watchdog_ms":0,)"
+      R"("retries":2})");
+
+  ShardSpec s = scriptedSpec();
   s.sched = sched::SchedulerKind::SSync;
-  s.delta = 0.123456789012345;
-  s.multiplicity = true;
-  s.commonChirality = true;
+  s.crashF = 1;
   s.faultSeedSet = true;
   s.fault.seed = 99;
-  s.watchdogEvents = 50000;
-  s.watchdogMs = 1234;
-  s.retries = 5;
-
-  const ShardSpec d = shardSpecFromJson(toJson(s));
-  EXPECT_EQ(d.algo, s.algo);
-  EXPECT_EQ(d.n, s.n);
-  EXPECT_EQ(d.patternLabel, s.patternLabel);
-  EXPECT_EQ(d.pattern.size(), s.pattern.size());
-  EXPECT_EQ(d.startKind, s.startKind);
-  EXPECT_EQ(d.start.size(), s.start.size());
-  EXPECT_EQ(d.sched, s.sched);
-  EXPECT_EQ(d.baseSeed, s.baseSeed);
-  EXPECT_EQ(d.runs, s.runs);
-  EXPECT_EQ(d.maxEvents, s.maxEvents);
-  EXPECT_EQ(d.delta, s.delta);
-  EXPECT_EQ(d.multiplicity, s.multiplicity);
-  EXPECT_EQ(d.commonChirality, s.commonChirality);
-  EXPECT_EQ(d.crashF, s.crashF);
-  EXPECT_EQ(d.crashHorizon, s.crashHorizon);
-  EXPECT_EQ(d.fault.seed, s.fault.seed);
-  EXPECT_EQ(d.fault.noiseSigma, s.fault.noiseSigma);
-  EXPECT_EQ(d.fault.truncProb, s.fault.truncProb);
-  EXPECT_EQ(d.faultSeedSet, s.faultSeedSet);
-  EXPECT_EQ(d.watchdogEvents, s.watchdogEvents);
-  EXPECT_EQ(d.watchdogMs, s.watchdogMs);
-  EXPECT_EQ(d.retries, s.retries);
-}
-
-TEST(ShardSpecTest, EncodingIsAFixedPointProperty) {
-  // shardConfigKey IS toJson, so decode->encode must reproduce the exact
-  // bytes for ANY spec — sweep a family of field combinations, including
-  // doubles that need shortest-round-trip formatting.
-  for (std::uint64_t i = 0; i < 32; ++i) {
-    ShardSpec s;
-    s.algo = (i % 2) != 0u ? "rsb" : "form";
-    s.n = 4 + (i % 5);
-    s.pattern = io::starPattern(s.n);
-    s.startKind = (i % 3) == 0 ? "points" : ((i % 3) == 1 ? "random"
-                                                          : "symmetric");
-    if (s.startKind == "points") {
-      config::Rng rng(100 + i);
-      s.start = config::randomConfiguration(s.n, rng, 5.0, 0.1);
-    }
-    s.baseSeed = i * 0x9E3779B97F4A7C15ull + 1;
-    s.runs = 1 + i;
-    s.delta = 0.05 + static_cast<double>(i) / 3.0;
-    s.multiplicity = (i % 2) != 0u;
-    s.crashF = static_cast<int>(i % 2);
-    s.fault.noiseSigma = static_cast<double>(i) / 7.0;
-    s.faultSeedSet = (i % 4) == 0;
-    s.fault.seed = i;
-    const std::string j1 = toJson(s);
-    const std::string j2 = toJson(shardSpecFromJson(j1));
-    EXPECT_EQ(j1, j2) << "spec " << i << " is not a re-encoding fixed point";
-  }
+  s.delta = 0.1 + 0.2;
+  EXPECT_EQ(shardConfigKey(s),
+      R"({"shard":"apf.shard.v1","algo":"form","n":6,)"
+      R"("pattern_label":"star","pattern":[[1,0],[0.22500000000000006,)"
+      R"(0.3897114317029974],[-0.4999999999999998,0.8660254037844387],)"
+      R"([-0.45,5.5109105961630896e-17],[-0.5000000000000004,)"
+      R"(-0.8660254037844384],[0.22500000000000006,-0.3897114317029974]],)"
+      R"("start_kind":"points","start":[[0.31474645183543104,)"
+      R"(3.4988029437565773],[1.7211820626969914,4.6826818374393175],)"
+      R"([-2.9072057282009354,-1.9948963619056101],[-2.7034427326397648,)"
+      R"(0.591608070277164],[-0.5901968977815815,-2.1011370108336376],)"
+      R"([0.45721588994785106,-2.5683305138703485]],"sched":"SSYNC",)"
+      R"("base_seed":11,"runs":8,"max_events":1500,)"
+      R"("delta":0.30000000000000004,"multiplicity":false,)"
+      R"("chirality":false,"crash_f":1,"crash_horizon":2000,)"
+      R"("fault":{"crashes":[],"noise_sigma":0,"omit_prob":0,)"
+      R"("mult_flip_prob":0,"drop_prob":0,"trunc_prob":0,"seed":99},)"
+      R"("fault_seed_set":true,"watchdog_events":0,"watchdog_ms":0,)"
+      R"("retries":2})");
 }
 
 TEST(ShardSpecTest, StartPointsOnlyOnWireWhenAuthoritative) {
@@ -173,43 +141,6 @@ TEST(ShardSpecTest, StartPointsOnlyOnWireWhenAuthoritative) {
   // or two behaviorally identical specs would get different config keys.
   EXPECT_EQ(toJson(s).find("\"start\""), std::string::npos);
   EXPECT_NE(toJson(scriptedSpec()).find("\"start\""), std::string::npos);
-}
-
-TEST(ShardSpecTest, RefusesSpecsFromOtherWireVersions) {
-  std::string v2 = toJson(scriptedSpec());
-  const auto at = v2.find("apf.shard.v1");
-  ASSERT_NE(at, std::string::npos);
-  v2.replace(at, 12, "apf.shard.v2");
-  try {
-    shardSpecFromJson(v2);
-    FAIL() << "a v2 spec must be refused";
-  } catch (const std::runtime_error& e) {
-    // The refusal names both versions, so the operator can see the skew.
-    EXPECT_NE(std::string(e.what()).find("apf.shard.v2"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("apf.shard.v1"), std::string::npos);
-  }
-}
-
-TEST(ShardSpecTest, RefusesMalformedAndSchemalessInput) {
-  EXPECT_THROW(shardSpecFromJson("not json"), std::runtime_error);
-  EXPECT_THROW(shardSpecFromJson("{\"algo\":\"form\"}"), std::runtime_error);
-  EXPECT_THROW(shardSpecFromJson("{\"shard\":\"apf.shard.v1\"}"),
-               std::runtime_error);  // no pattern points
-}
-
-TEST(ShardSpecTest, IgnoresUnknownKeysWithinV1) {
-  std::string j = toJson(scriptedSpec());
-  j.insert(j.size() - 1, ",\"future_knob\":42");
-  const ShardSpec d = shardSpecFromJson(j);  // must not throw
-  EXPECT_EQ(d.runs, scriptedSpec().runs);
-}
-
-TEST(ShardSpecTest, SaveLoadRoundTripsThroughDisk) {
-  const std::string path = tempPath("spec_roundtrip.json");
-  const ShardSpec s = faultSpec();
-  saveShardSpec(path, s);
-  EXPECT_EQ(toJson(loadShardSpec(path)), toJson(s));
-  EXPECT_EQ(shardConfigKey(s), toJson(s));
 }
 
 TEST(ShardSpecTest, ValidateCatchesInconsistentSpecs) {
@@ -229,34 +160,6 @@ TEST(ShardSpecTest, ValidateCatchesInconsistentSpecs) {
   EXPECT_NE(validateShardSpec(bad), "");
 }
 
-// ------------------------------------------------------------ partition --
-
-TEST(ShardRangeTest, PartitionIsContiguousBalancedAndExact) {
-  for (const std::uint64_t runs : {0ull, 1ull, 5ull, 8ull, 64ull, 1001ull}) {
-    for (const unsigned count : {1u, 2u, 3u, 4u, 7u, 16u}) {
-      std::uint64_t covered = 0;
-      std::uint64_t minSize = runs + 1, maxSize = 0;
-      std::uint64_t expectLo = 0;
-      for (unsigned i = 0; i < count; ++i) {
-        const ShardRange r = shardRange(runs, i, count);
-        EXPECT_EQ(r.lo, expectLo) << runs << "/" << count << " shard " << i;
-        expectLo = r.hi;
-        covered += r.size();
-        minSize = std::min(minSize, r.size());
-        maxSize = std::max(maxSize, r.size());
-      }
-      EXPECT_EQ(expectLo, runs);
-      EXPECT_EQ(covered, runs);
-      EXPECT_LE(maxSize - minSize, 1u) << runs << "/" << count;
-    }
-  }
-}
-
-TEST(ShardRangeTest, RejectsOutOfRangeIndices) {
-  EXPECT_THROW(shardRange(10, 0, 0), std::runtime_error);
-  EXPECT_THROW(shardRange(10, 4, 4), std::runtime_error);
-}
-
 // ---------------------------------------------------------- determinism --
 
 TEST(ShardPayloadTest, PayloadDependsOnlyOnSpecIndexAndSalt) {
@@ -274,42 +177,54 @@ TEST(ShardPayloadTest, PayloadDependsOnlyOnSpecIndexAndSalt) {
 class ShardMergeTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(ShardMergeTest, MergedJournalIsByteIdenticalToSingleProcess) {
-  // The acceptance matrix: scripted / fuzz / fault-plan campaigns, each
-  // sharded 3 ways (uneven split of 8 runs) and merged, serially and on a
-  // 2-thread pool inside each shard.
+  // Journals and payloads are keyed by GLOBAL run index, so running
+  // [0, runs) as slices on one journal must write and deliver exactly what
+  // one serial whole-campaign call does. Two partitions of the 8 runs: an
+  // uneven 3-way split and per-run slices [i, i+1), serially and on a
+  // 2-thread pool inside each slice; scripted, fuzz and fault-plan specs.
   const int jobs = GetParam();
   const ShardSpec specs[] = {scriptedSpec(), fuzzSpec(), faultSpec()};
   const char* names[] = {"scripted", "fuzz", "fault"};
   core::FormPatternAlgorithm algo;
+  const TestTempDir tmp;
   for (int k = 0; k < 3; ++k) {
     const ShardSpec& spec = specs[k];
-    const std::string tag =
-        std::string(names[k]) + "_j" + std::to_string(jobs);
     const std::string key = shardConfigKey(spec);
 
-    const std::string refPath = tempPath("ref_" + tag + ".journal");
+    const std::string wholePath = tmp.file(std::string(names[k]) + ".whole");
+    std::vector<std::string> whole;
     {
-      CampaignJournal ref(refPath, key, /*resume=*/false);
-      const SupervisorReport rep =
-          runShard(spec, algo, 0, spec.runs, &ref, nullptr, jobs);
+      CampaignJournal j(wholePath, key, /*resume=*/false);
+      const SupervisorReport rep = runShard(spec, algo, 0, spec.runs, &j,
+                                            nullptr, 1, nullptr, &whole);
       EXPECT_EQ(rep.completed, spec.runs);
     }
 
-    std::vector<std::string> shardPaths;
-    for (unsigned i = 0; i < 3; ++i) {
-      const ShardRange range = shardRange(spec.runs, i, 3);
-      const std::string path =
-          tempPath("shard_" + tag + "_" + std::to_string(i) + ".journal");
-      CampaignJournal j(path, key, /*resume=*/false);
-      const SupervisorReport rep =
-          runShard(spec, algo, range.lo, range.hi, &j, nullptr, jobs);
-      EXPECT_EQ(rep.completed, range.size());
-      shardPaths.push_back(path);
+    std::vector<std::uint64_t> perRun;
+    for (std::uint64_t i = 0; i <= spec.runs; ++i) perRun.push_back(i);
+    const std::vector<std::vector<std::uint64_t>> partitions = {
+        {0, 3, 6, spec.runs}, perRun};
+    for (std::size_t p = 0; p < partitions.size(); ++p) {
+      const std::vector<std::uint64_t>& cuts = partitions[p];
+      const std::string tag =
+          std::string(names[k]) + " partition " + std::to_string(p);
+      const std::string slicedPath =
+          tmp.file(std::string(names[k]) + ".sliced" + std::to_string(p));
+      std::vector<std::string> sliced;
+      {
+        CampaignJournal j(slicedPath, key, /*resume=*/false);
+        for (std::size_t c = 0; c + 1 < cuts.size(); ++c) {
+          const SupervisorReport rep =
+              runShard(spec, algo, cuts[c], cuts[c + 1], &j, nullptr, jobs,
+                       nullptr, &sliced);
+          EXPECT_EQ(rep.completed, cuts[c + 1] - cuts[c])
+              << tag << " slice " << c;
+        }
+      }
+      EXPECT_EQ(sliced, whole) << tag;
+      EXPECT_EQ(readAll(slicedPath), readAll(wholePath))
+          << tag << " merged journal differs from single-process";
     }
-    const std::string mergedPath = tempPath("merged_" + tag + ".journal");
-    EXPECT_EQ(mergeShardJournals(spec, shardPaths, mergedPath), spec.runs);
-    EXPECT_EQ(readAll(mergedPath), readAll(refPath))
-        << names[k] << " merged journal differs from single-process";
   }
 }
 
@@ -320,14 +235,15 @@ TEST(ShardResumeTest, ResumedJournalConvergesByteIdentical) {
   const ShardSpec spec = fuzzSpec();
   core::FormPatternAlgorithm algo;
   const std::string key = shardConfigKey(spec);
+  const TestTempDir tmp;
 
-  const std::string refPath = tempPath("resume_ref.journal");
+  const std::string refPath = tmp.file("resume_ref.journal");
   {
     CampaignJournal ref(refPath, key, /*resume=*/false);
     runShard(spec, algo, 0, spec.runs, &ref, nullptr, 1);
   }
 
-  const std::string path = tempPath("resume_partial.journal");
+  const std::string path = tmp.file("resume_partial.journal");
   {
     // "Crash" after three runs: only [0, 3) ever journals.
     CampaignJournal j(path, key, /*resume=*/false);
@@ -343,63 +259,53 @@ TEST(ShardResumeTest, ResumedJournalConvergesByteIdentical) {
   EXPECT_EQ(readAll(path), readAll(refPath));
 }
 
-TEST(ShardMergeTest2, RefusesJournalsOfADifferentCampaign) {
-  const ShardSpec spec = fuzzSpec();
-  ShardSpec other = fuzzSpec();
-  other.baseSeed = spec.baseSeed + 1;  // a DIFFERENT experiment
+TEST(ShardResumeTest, TornTailResumeConvergesBitIdentical) {
+  // A SIGKILL mid-append leaves the journal with complete entries and one
+  // torn, unterminated line. Resume must drop the torn line, replay the
+  // complete entries without re-running them, and converge to the
+  // uninterrupted payloads and journal bytes at any thread count.
+  ShardSpec spec = faultSpec();
+  spec.runs = 16;
   core::FormPatternAlgorithm algo;
+  const std::string key = shardConfigKey(spec);
+  const TestTempDir tmp;
 
-  const std::string path = tempPath("mismatch.journal");
+  const std::string fullPath = tmp.file("full.journal");
+  std::vector<std::string> reference;
   {
-    CampaignJournal j(path, shardConfigKey(other), /*resume=*/false);
-    runShard(other, algo, 0, 2, &j, nullptr, 1);
+    CampaignJournal j(fullPath, key, /*resume=*/false);
+    runShard(spec, algo, 0, spec.runs, &j, nullptr, 1, nullptr, &reference);
   }
-  EXPECT_THROW(
-      mergeShardJournals(spec, {path}, tempPath("mismatch_merged.journal")),
-      std::runtime_error);
-}
+  const std::string fullBytes = readAll(fullPath);
 
-// ------------------------------------------------------- report wire ----
+  for (int jobs : {1, 4}) {
+    // Keep the header and 5 entries, then tear the 6th mid-write.
+    std::istringstream full(fullBytes);
+    std::string line, partial;
+    for (int keep = 0; keep < 6 && std::getline(full, line); ++keep) {
+      partial += line + "\n";
+    }
+    partial += "{\"i\":5,\"payl";
+    const std::string killed = tmp.file("killed" + std::to_string(jobs));
+    {
+      std::ofstream os(killed, std::ios::binary);
+      os << partial;
+    }
 
-TEST(SupervisorReportWireTest, RoundTripsIncludingQuarantine) {
-  SupervisorReport r;
-  r.items = 10;
-  r.completed = 7;
-  r.replayed = 1;
-  r.retries = 3;
-  r.quarantined = 2;
-  r.timeoutsCycle = 1;
-  r.timeoutsWall = 1;
-  r.exceptions = 2;
-  QuarantinedItem q;
-  q.index = 4;
-  q.deterministic = true;
-  AttemptFailure f;
-  f.kind = FailureKind::Exception;
-  f.attempt = 1;
-  f.seedSalt = 42;
-  f.atCycles = 17;
-  f.message = "boom \"quoted\"";
-  q.attempts.push_back(f);
-  r.quarantine.push_back(q);
-
-  const SupervisorReport d = supervisorReportFromJson(r.toJson());
-  EXPECT_EQ(d.toJson(), r.toJson());  // decode->encode fixed point
-  ASSERT_EQ(d.quarantine.size(), 1u);
-  EXPECT_EQ(d.quarantine[0].index, 4u);
-  EXPECT_TRUE(d.quarantine[0].deterministic);
-  ASSERT_EQ(d.quarantine[0].attempts.size(), 1u);
-  EXPECT_EQ(d.quarantine[0].attempts[0].message, "boom \"quoted\"");
-}
-
-TEST(SupervisorReportWireTest, RefusesOtherSchemas) {
-  SupervisorReport r;
-  std::string j = r.toJson();
-  const auto at = j.find("apf.supervisor.v1");
-  ASSERT_NE(at, std::string::npos);
-  j.replace(at, 17, "apf.supervisor.v9");
-  EXPECT_THROW(supervisorReportFromJson(j), std::runtime_error);
-  EXPECT_THROW(supervisorReportFromJson("not json"), std::runtime_error);
+    std::vector<std::string> resumed;
+    SupervisorReport report;
+    {
+      CampaignJournal j(killed, key, /*resume=*/true);
+      EXPECT_TRUE(j.recoveredTornLine());
+      EXPECT_EQ(j.completedCount(), 5u);
+      report = runShard(spec, algo, 0, spec.runs, &j, nullptr, jobs, nullptr,
+                        &resumed);
+    }
+    EXPECT_EQ(resumed, reference) << "jobs=" << jobs;
+    EXPECT_EQ(readAll(killed), fullBytes) << "jobs=" << jobs;
+    EXPECT_EQ(report.replayed, 5u);
+    EXPECT_EQ(report.completed, spec.runs - 5u);
+  }
 }
 
 }  // namespace

@@ -1,13 +1,12 @@
 /// Campaign-supervisor determinism (sim/supervisor.h, docs/RESILIENCE.md):
-/// the three acceptance proofs — (a) a supervised zero-fault campaign
-/// merges bit-identical to the unsupervised executor, (b) a killed
-/// journaled campaign resumes and merges bit-identical to an uninterrupted
-/// one (including the journal file itself, after torn-tail recovery), and
-/// (c) a same-seed retry of a deterministic failure reproduces the
-/// identical failure and quarantines immediately — plus the watchdog
-/// deadline semantics, the retry-salt policy, supervisor event-log
-/// determinism, and the journal's corruption handling. Labelled `perf` so
-/// the TSan CI lane covers the pool interactions (`ctest -L perf`).
+/// (a) a supervised zero-fault campaign merges bit-identical to the
+/// unsupervised executor, and (b) a same-seed retry of a deterministic
+/// failure reproduces the identical failure and quarantines immediately —
+/// plus the watchdog deadline semantics, the retry-salt policy, supervisor
+/// event-log determinism, and the journal's corruption handling. The
+/// journaled kill-and-resume proof runs on sim::runShard in
+/// tests/shard_test.cpp. Labelled `perf` so the TSan CI lane covers the
+/// pool interactions (`ctest -L perf`).
 
 #include <gtest/gtest.h>
 
@@ -146,7 +145,7 @@ TEST(SupervisorTest, ZeroFaultCampaignBitIdenticalToUnsupervised) {
   }
 }
 
-// ----------------------- acceptance (c): same-seed determinism proof -----
+// ----------------------- acceptance (b): same-seed determinism proof -----
 
 TEST(SupervisorTest, SameSeedRetryReproducesIdenticalFailureAndQuarantines) {
   const auto seeds = seedItems(4);
@@ -315,7 +314,7 @@ TEST(SupervisorTest, OutOfOrderMailboxBuffersWhileIndexZeroRetries) {
   EXPECT_GE(stats.pendingHighWater, 1u);
 }
 
-// --------------------- acceptance (b): journaled kill-and-resume ---------
+// ------------------------------------------------- journal handling ----
 
 class JournalDir : public ::testing::Test {
  protected:
@@ -329,66 +328,6 @@ class JournalDir : public ::testing::Test {
 
   TestTempDir tmp_;
 };
-
-TEST_F(JournalDir, KillAndResumeMergesAndConvergesBitIdentical) {
-  const auto seeds = seedItems(16);
-  const std::string key = "journal-test-v1";
-  JournalCodec<std::string> codec;
-  codec.encode = [](const std::string& s) { return s; };
-  codec.decode = [](const std::string& s) { return s; };
-  auto worker = [](std::uint64_t s, std::size_t, const Attempt& att) {
-    return "payload " + std::to_string(s ^ att.seedSalt);
-  };
-
-  // Uninterrupted reference campaign.
-  std::vector<std::string> reference;
-  {
-    CampaignJournal journal(path("full.journal"), key, /*resume=*/false);
-    superviseCampaign(
-        seeds, worker,
-        [&](std::size_t, std::string&& r) {
-          reference.push_back(std::move(r));
-        },
-        journal, codec, SupervisorOptions{}, /*jobs=*/1);
-  }
-  const std::string fullBytes = slurp(path("full.journal"));
-  ASSERT_EQ(reference.size(), seeds.size());
-
-  for (int jobs : {1, 4}) {
-    // Simulate a SIGKILL after 5 completed entries, mid-write of the 6th:
-    // keep header + 5 lines, then a torn (unterminated) tail.
-    std::istringstream full(fullBytes);
-    std::string line, partial;
-    for (int keep = 0; keep < 6 && std::getline(full, line); ++keep) {
-      partial += line + "\n";
-    }
-    partial += "{\"i\":5,\"payl";  // torn mid-write
-    const std::string killed = path("killed" + std::to_string(jobs));
-    {
-      std::ofstream os(killed, std::ios::binary);
-      os << partial;
-    }
-
-    std::vector<std::string> resumed;
-    SupervisorReport report;
-    {
-      CampaignJournal journal(killed, key, /*resume=*/true);
-      EXPECT_TRUE(journal.recoveredTornLine());
-      EXPECT_EQ(journal.completedCount(), 5u);
-      report = superviseCampaign(
-          seeds, worker,
-          [&](std::size_t, std::string&& r) {
-            resumed.push_back(std::move(r));
-          },
-          journal, codec, SupervisorOptions{}, jobs);
-    }
-    // Merged output AND the journal file itself converge bit-identical.
-    EXPECT_EQ(resumed, reference) << "jobs=" << jobs;
-    EXPECT_EQ(slurp(killed), fullBytes) << "jobs=" << jobs;
-    EXPECT_EQ(report.replayed, 5u);
-    EXPECT_EQ(report.completed, seeds.size() - 5u);
-  }
-}
 
 TEST_F(JournalDir, ResumeWithNoJournalFileStartsFresh) {
   CampaignJournal journal(path("fresh.journal"), "k", /*resume=*/true);

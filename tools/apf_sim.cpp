@@ -19,13 +19,6 @@
 /// uninterrupted one:
 ///   apf_sim --campaign 50 --journal c.journal --json > out.json
 ///   apf_sim --campaign 50 --resume  c.journal --json > out.json
-/// With --shards K the same campaign fans out over K apf_worker PROCESSES
-/// (sim/shard.h, docs/API.md): the options compile into an apf.shard.v1
-/// spec, each worker journals its slice, and the merged journal plus the
-/// printed --json document are byte-identical to the single-process run's
-/// — including after SIGKILLing a worker or this coordinator and
-/// re-running with --resume:
-///   apf_sim --campaign 50 --shards 4 --journal c.journal --json
 /// Failure repro (sim/shrink.h): --repro-out captures a run's replay
 /// coordinates as a self-contained .repro.json (minimized with --shrink),
 /// and --replay re-executes one, exiting 0 iff the violation reproduces.
@@ -100,11 +93,6 @@ struct Options {
   std::uint64_t watchdogMs = 0;
   int retries = 2;
   std::string quarantinePath;
-  // Multi-process sharding (sim/shard.h, docs/API.md).
-  int shards = 0;  // 0 = in-process campaign
-  std::string workerPath;
-  std::uint64_t shardWallMs = 0;
-  int shardRetries = 2;
   // Failure repro (sim/shrink.h).
   std::string replayPath;
   std::string reproOutPath;
@@ -187,22 +175,6 @@ void registerFlags(apf::cli::ArgParser& args, Options& o) {
   args.str("--quarantine", &o.quarantinePath, "F",
            "write the supervisor report JSON to F");
 
-  args.section("multi-process sharding (sim/shard.h, docs/API.md)");
-  args.intNonNegative("--shards", &o.shards, "K",
-                      "fan the campaign out over K apf_worker\n"
-                      "processes (needs --journal or --resume; the\n"
-                      "merged journal and --json document are\n"
-                      "byte-identical to the in-process run's)");
-  args.str("--worker", &o.workerPath, "PATH",
-           "apf_worker binary (default: $APF_WORKER, then\n"
-           "next to this executable)");
-  args.u64("--shard-wall-ms", &o.shardWallMs, "N",
-           "per-attempt wall budget for each worker\n"
-           "process; on expiry the worker is SIGKILLed and\n"
-           "retried from its shard journal (0 = none)");
-  args.intNonNegative("--shard-retries", &o.shardRetries, "N",
-                      "process-level retry budget per shard (default 2)");
-
   args.section("failure repro (sim/shrink.h)");
   args.str("--replay", &o.replayPath, "F",
            "re-execute a .repro.json; exit 0 iff the\n"
@@ -222,12 +194,10 @@ void registerFlags(apf::cli::ArgParser& args, Options& o) {
   args.flag("--quiet", &o.quiet, "summary line only");
 }
 
-/// Compiles the CLI options into the versioned wire spec (apf.shard.v1)
-/// that defines a campaign — the single source of truth for BOTH the
-/// in-process pool and apf_worker processes, and (as canonical JSON) the
-/// journal config key. `spec.algo` carries the CLI spelling, not
-/// Algorithm::name(): a worker re-instantiates it via the same
-/// cli::makeAlgorithm table.
+/// Compiles the CLI options into the versioned spec (apf.shard.v1) that
+/// defines a campaign: the single source of truth for the executor and,
+/// as canonical JSON, the journal config key. `spec.algo` carries the CLI
+/// spelling (the cli::makeAlgorithm table), not Algorithm::name().
 apf::sim::ShardSpec specFromOptions(const Options& o,
                                     const apf::config::Configuration& pattern,
                                     const apf::config::Configuration& start,
@@ -269,8 +239,8 @@ apf::sim::ShardSpec specFromOptions(const Options& o,
   return spec;
 }
 
-/// The campaign-describing manifest fields, derived from the wire spec so
-/// sharded and in-process manifests cannot differ.
+/// The campaign-describing manifest fields, derived from the spec so the
+/// manifest and the journal config key cannot disagree.
 apf::obs::Manifest campaignManifest(const apf::sim::ShardSpec& spec,
                                     const std::string& algoName) {
   apf::obs::Manifest m;
@@ -436,8 +406,7 @@ int main(int argc, char** argv) try {
     }
     // The spec's canonical JSON is the journal config key: resuming with
     // ANY different option is a different experiment and must be refused,
-    // not silently merged — and a journal written by apf_worker carries the
-    // byte-identical key, so in-process and sharded journals interoperate.
+    // not silently merged.
     const std::string configKey = sim::shardConfigKey(spec);
     const bool resuming = !o.resumePath.empty();
     const std::string jpath = resuming ? o.resumePath : o.journalPath;
@@ -445,52 +414,14 @@ int main(int argc, char** argv) try {
     const sim::SupervisorOptions sopts =
         sim::shardSupervisorOptions(spec, sink.get());
     std::vector<std::string> payloads(spec.runs);
-    sim::SupervisorReport report;
     std::unique_ptr<sim::CampaignJournal> journal;
-    bool shardsOk = true;
-
-    if (o.shards > 0) {
-      // Multi-process mode: fan out over apf_worker processes. The shard
-      // scratch space (spec, per-shard journals/reports/logs) lives next to
-      // the merged journal, which is why a journal path is required.
-      if (jpath.empty()) {
-        std::fprintf(stderr,
-                     "apf_sim: --shards needs --journal F (fresh) or "
-                     "--resume F\n");
-        return 2;
-      }
-      sim::CoordinatorOptions copts;
-      copts.workerPath = o.workerPath;
-      copts.shards = static_cast<unsigned>(o.shards);
-      copts.workDir = jpath + ".shards";
-      copts.workerWallBudgetNanos = o.shardWallMs * 1'000'000ull;
-      copts.maxRetries = o.shardRetries;
-      copts.resume = resuming;
-      copts.verbose = !o.quiet;
-      copts.mergedJournalPath = jpath;
-      const sim::CoordinatorReport creport =
-          sim::runShardedCampaign(spec, copts);
-      shardsOk = creport.allShardsOk();
-      report = creport.runs;
-      // Payloads come back from the merged journal — the same decode path
-      // a resumed in-process campaign replays through.
-      journal = std::make_unique<sim::CampaignJournal>(jpath, configKey,
-                                                       /*resume=*/true);
-      for (std::uint64_t i = 0; i < spec.runs; ++i) {
-        if (const std::string* p =
-                journal->payload(static_cast<std::size_t>(i))) {
-          payloads[static_cast<std::size_t>(i)] = *p;
-        }
-      }
-    } else {
-      if (!jpath.empty()) {
-        journal = std::make_unique<sim::CampaignJournal>(jpath, configKey,
-                                                         resuming);
-      }
-      report = sim::runShard(spec, *algo, 0, spec.runs, journal.get(),
-                             sink.get(), /*jobs=*/0, /*stats=*/nullptr,
-                             &payloads);
+    if (!jpath.empty()) {
+      journal =
+          std::make_unique<sim::CampaignJournal>(jpath, configKey, resuming);
     }
+    const sim::SupervisorReport report =
+        sim::runShard(spec, *algo, 0, spec.runs, journal.get(), sink.get(),
+                      /*jobs=*/0, /*stats=*/nullptr, &payloads);
 
     if (!o.quarantinePath.empty()) report.write(o.quarantinePath);
     if (!o.manifestPath.empty()) {
@@ -498,9 +429,9 @@ int main(int argc, char** argv) try {
       obs::addBuildInfo(m);
       m.set("tool", "apf_sim.campaign");
       m.merge(campaignManifest(spec, algo->name()));
-      // The resume/shard-invariant variant: fresh-vs-replayed collapses
-      // into supervisor.finished, so this manifest is byte-identical for
-      // uninterrupted, resumed, and K-shard executions of the same spec.
+      // The resume-invariant variant: fresh-vs-replayed collapses into
+      // supervisor.finished, so this manifest is byte-identical for
+      // uninterrupted and resumed executions of the same spec.
       sim::appendManifestInvariant(sopts, report, m);
       m.write(o.manifestPath);
     }
@@ -518,8 +449,7 @@ int main(int argc, char** argv) try {
       // Deliberately free of wall-clock fields AND of the fresh-vs-replayed
       // split (only their sum is invariant): a resumed campaign must print
       // a document byte-identical to an uninterrupted one's — the CI
-      // kill-and-resume check diffs them directly, and the sharded drill
-      // diffs a 4-process run against APF_JOBS=1. The split lives in the
+      // kill-and-resume check diffs them directly. The split lives in the
       // human output and the --quarantine report.
       obs::JsonObjectWriter top;
       top.field("schema", "apf.campaign.v1");
@@ -541,14 +471,12 @@ int main(int argc, char** argv) try {
       std::printf("%s\n", top.str().c_str());
     } else {
       std::printf(
-          "campaign: %llu runs  algo=%s n=%zu sched=%s seeds=%llu..%llu%s\n"
+          "campaign: %llu runs  algo=%s n=%zu sched=%s seeds=%llu..%llu\n"
           "  completed=%llu replayed=%llu retries=%llu quarantined=%llu\n",
           static_cast<unsigned long long>(o.campaignRuns),
           algo->name().c_str(), static_cast<std::size_t>(o.n),
           o.sched.c_str(), static_cast<unsigned long long>(o.seed),
           static_cast<unsigned long long>(o.seed + o.campaignRuns - 1),
-          o.shards > 0 ? (" shards=" + std::to_string(o.shards)).c_str()
-                       : "",
           static_cast<unsigned long long>(report.completed),
           static_cast<unsigned long long>(report.replayed),
           static_cast<unsigned long long>(report.retries),
@@ -571,7 +499,7 @@ int main(int argc, char** argv) try {
                                        : q.attempts.back().message.c_str());
       }
     }
-    return shardsOk && report.allCompleted() ? 0 : 1;
+    return report.allCompleted() ? 0 : 1;
   }
 
   // --trace dispatches on extension: .json = Chrome trace-event spans,
