@@ -5,7 +5,9 @@
 namespace apf::geom {
 
 double norm2pi(double a) {
-  double r = std::fmod(a, kTwoPi);
+  // IEEE fmod is exact and returns `a` itself when |a| < kTwoPi, so that
+  // (common) case skips the call; NaN fails both tests and takes fmod.
+  double r = (a > -kTwoPi && a < kTwoPi) ? a : std::fmod(a, kTwoPi);
   if (r < 0) r += kTwoPi;
   // fmod can return kTwoPi - ulp noise after the correction; clamp.
   if (r >= kTwoPi) r = 0.0;

@@ -48,7 +48,15 @@ struct Action {
 
 /// A mobile-robot algorithm. Implementations must be deterministic given
 /// the snapshot and the bits drawn from `rng`, oblivious (no state between
-/// calls), and anonymous (no use of robot indices beyond selfIndex).
+/// calls), and anonymous (no use of robot indices beyond selfIndex), and
+/// must draw all their randomness through `rng.bit()` / `rng.uniform()`.
+///
+/// The engine relies on this contract: when a robot's snapshot repeats,
+/// byte for byte, the one of its last Compute, and that Compute stayed
+/// without drawing a bit, the engine returns the same stay without calling
+/// compute() again (sim/engine.h, StayRecord). An implementation that
+/// counts or records its calls therefore sees only the Computes that ran;
+/// Metrics::phaseActivations counts them all.
 class Algorithm {
  public:
   virtual ~Algorithm() = default;

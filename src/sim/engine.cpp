@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 
 #include "config/similarity.h"
@@ -18,6 +19,20 @@ using geom::Path;
 using geom::Similarity;
 using geom::Vec2;
 
+bool StayRecord::matches(const Snapshot& snap) const {
+  const std::vector<Vec2>& pts = snap.robots.points();
+  return valid_ && snap.selfIndex == selfIndex_ && pts.size() == pts_.size() &&
+         std::memcmp(pts.data(), pts_.data(), pts.size() * sizeof(Vec2)) == 0;
+}
+
+void StayRecord::remember(const Snapshot& snap, int phaseTag) {
+  const std::vector<Vec2>& pts = snap.robots.points();
+  pts_.assign(pts.begin(), pts.end());
+  selfIndex_ = snap.selfIndex;
+  phaseTag_ = phaseTag;
+  valid_ = true;
+}
+
 Engine::Engine(Configuration start, Configuration pattern,
                const Algorithm& algo, EngineOptions opts)
     : current_(std::move(start)),
@@ -25,6 +40,15 @@ Engine::Engine(Configuration start, Configuration pattern,
       algo_(algo),
       opts_(opts),
       rng_(opts.seed) {
+  // Drop whatever memoized SEC / Weber point the caller's pattern carried
+  // and warm them afresh: a caller may share one Configuration between
+  // threads, and whether its caches were filled must not show in this
+  // run's result.geom.* counters.
+  pattern_.assign(pattern_.releasePoints());
+  if (!pattern_.empty()) {
+    pattern_.sec();
+    pattern_.weberPoint();
+  }
   robots_.resize(current_.size());
   auto& adv = rng_.adversaryEngine();
   std::uniform_real_distribution<double> uang(0.0, geom::kTwoPi);
@@ -39,6 +63,8 @@ Engine::Engine(Configuration start, Configuration pattern,
     }
     r.frame = Similarity(angle, scale, reflect, {});
     r.frameInv = r.frame.inverse();
+    // +1: a multiplicity flip can add a point to a snapshot.
+    r.lastStay.reserve(current_.size() + 1);
   }
   if (const auto err = fault::validate(opts_.fault)) {
     throw std::invalid_argument("EngineOptions::fault: " + *err);
@@ -136,7 +162,10 @@ void Engine::applyLookFaults(std::size_t i) {
   if (!fp.sensorActive()) return;
   Robot& r = robots_[i];
   std::uniform_real_distribution<double> u(0.0, 1.0);
-  std::normal_distribution<double> gauss(0.0, fp.noiseSigma);
+  // normal_distribution requires a positive deviation; it is drawn from
+  // only when noiseSigma > 0.
+  std::normal_distribution<double> gauss(
+      0.0, fp.noiseSigma > 0.0 ? fp.noiseSigma : 1.0);
   const auto& pts = r.snap.robots.points();
   // Build the filtered copy in the scratch spare, then swap it with the
   // snapshot's storage below — two buffers ping-pong forever, zero
@@ -245,7 +274,21 @@ void Engine::checkLiveSafety() {
 
 Action Engine::computeFor(std::size_t i, sched::RandomSource& rng) {
   Robot& r = robots_[i];
+  // Compute is a function of the snapshot and the bits it draws
+  // (sim/algorithm.h), so the same snapshot bytes after a stay that drew
+  // no bit get the same stay.
+  if (r.lastStay.matches(r.snap)) {
+    metrics_.computesReused += 1;
+    return Action::stay(r.lastStay.phaseTag());
+  }
+  const std::uint64_t bitsBefore = rng.bitsConsumed();
   Action local = algo_.compute(r.snap, rng);
+  if (local.isMove() || local.electionRound ||
+      rng.bitsConsumed() != bitsBefore) {
+    r.lastStay.clear();
+  } else {
+    r.lastStay.remember(r.snap, local.phaseTag);
+  }
   if (!local.isMove()) return local;
   // Map the local-frame path back to the global frame: the local path starts
   // at the robot's position (local origin).
@@ -751,6 +794,7 @@ void appendResult(obs::Manifest& m, const RunResult& res) {
   m.set("result.geom.sec_cache_misses", mx.secCacheMisses);
   m.set("result.geom.weber_cache_hits", mx.weberCacheHits);
   m.set("result.geom.weber_cache_misses", mx.weberCacheMisses);
+  m.set("result.compute_reused", mx.computesReused);
   for (const auto& [tag, count] : mx.phaseActivations) {
     m.set("result.phase." + std::to_string(tag) + ".activations", count);
   }

@@ -86,6 +86,30 @@ struct EngineOptions {
   Watchdog* watchdog = nullptr;
 };
 
+/// One robot's last randomness-free "stay": the snapshot points and
+/// selfIndex it was computed on, byte for byte, and the phase tag it
+/// returned. The engine answers a later Compute on a byte-identical snapshot
+/// from this record instead of calling the algorithm, which the determinism
+/// contract in sim/algorithm.h makes exact. Bytes, not values: -0.0 == +0.0
+/// as doubles, but atan2 tells them apart.
+class StayRecord {
+ public:
+  /// Room for snapshots of up to n points: remember() then never allocates.
+  void reserve(std::size_t n) { pts_.reserve(n); }
+  /// True when a stay is remembered and `snap` shows the same points and
+  /// selfIndex, byte for byte.
+  bool matches(const Snapshot& snap) const;
+  void remember(const Snapshot& snap, int phaseTag);
+  void clear() { valid_ = false; }
+  int phaseTag() const { return phaseTag_; }
+
+ private:
+  std::vector<geom::Vec2> pts_;
+  std::size_t selfIndex_ = 0;
+  int phaseTag_ = 0;
+  bool valid_ = false;
+};
+
 /// Drives one execution of an algorithm from a start configuration toward a
 /// pattern. Deterministic given (inputs, seed).
 class Engine {
@@ -157,6 +181,8 @@ class Engine {
     std::uint64_t quietVersion = 0;
     /// Configuration version captured by this robot's last Look.
     std::uint64_t snapVersion = 0;
+    /// This robot's last Compute, when it stayed without drawing a bit.
+    StayRecord lastStay;
   };
 
   /// Stamps index/time/context fields and hands `ev` to the recorder.
@@ -182,7 +208,9 @@ class Engine {
   /// Emits a FaultInjected event and counts it in the metrics.
   void recordFault(std::size_t robot, obs::FaultKind kind, double magnitude);
   /// Runs the algorithm for robot i on its stored snapshot; returns the
-  /// global-frame action.
+  /// global-frame action. A snapshot byte-identical to the one of the
+  /// robot's last randomness-free stay returns that stay without calling
+  /// the algorithm (counted in Metrics::computesReused).
   Action computeFor(std::size_t i, sched::RandomSource& rng);
   void look(std::size_t i);
   /// Returns true when the compute produced a movement.

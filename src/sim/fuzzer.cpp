@@ -61,9 +61,9 @@ FuzzResult fuzzSchedules(const Algorithm& algo,
   // threads copying `start` into their engines read a stable cache.
   const double startSec = start.sec().radius;
   pattern.sec();  // warm for the same reason (engines copy `pattern` too)
-  // Warm the pattern's Weber cache too: every snapshot's pattern copy
-  // descends from this instance, so one Weiszfeld here serves the whole
-  // campaign (algorithms then hit the cache; same warm-before-share rule).
+  // Warm the pattern's Weber cache too, by the same warm-before-share
+  // rule: copying `pattern` into an engine reads both caches (the engine
+  // then recomputes its own).
   pattern.weberPoint();
   // Multiplicity in the TARGET is intended; anything else is a collision.
   const bool patternHasMultiplicity = pattern.hasMultiplicity();

@@ -60,6 +60,13 @@ struct Metrics {
   std::uint64_t secCacheMisses = 0;
   std::uint64_t weberCacheHits = 0;
   std::uint64_t weberCacheMisses = 0;
+
+  // --- compute-reuse extension ------------------------------------------
+  /// Computes answered without calling the algorithm: the robot's snapshot
+  /// repeated, byte for byte, the one of its last Compute, which stayed
+  /// without drawing a random bit (sim/engine.h, StayRecord). Included in
+  /// phaseActivations; deterministic, like every count above.
+  std::uint64_t computesReused = 0;
 };
 
 /// How a run ended, beyond the boolean success/timeout pair: the outcome

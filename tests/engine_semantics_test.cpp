@@ -19,6 +19,9 @@ using geom::Vec2;
 
 /// Records a fingerprint of every snapshot it computes on (sorted pairwise
 /// distances — frame-invariant), then moves a little to keep the run busy.
+/// It sees only the Computes the engine ran: a repeated randomness-free
+/// stay is answered without calling it (sim/algorithm.h), so the tests
+/// count Computes with Metrics::phaseActivations, not with `seen`.
 class SnapshotRecorder : public Algorithm {
  public:
   Action compute(const Snapshot& snap, sched::RandomSource&) const override {
@@ -63,8 +66,14 @@ TEST(SchedulerSemanticsTest, FsyncRobotsShareEachRoundsSnapshot) {
   opts.sched.kind = sched::SchedulerKind::FSync;
   opts.maxEvents = 60;  // a few rounds
   Engine eng(square(), square(), algo, opts);
-  eng.run();
-  ASSERT_GE(algo.seen.size(), 8u);
+  const RunResult res = eng.run();
+  const std::uint64_t computes =
+      res.metrics.phaseActivations.at(core::kBaseline);
+  ASSERT_GE(computes, 8u);
+  // Every decision here moves, so every Compute reached the recorder and
+  // `seen` holds whole rounds.
+  ASSERT_EQ(res.metrics.computesReused, 0u);
+  ASSERT_EQ(algo.seen.size(), computes);
   for (std::size_t round = 0; round + 4 <= algo.seen.size(); round += 4) {
     for (int k = 1; k < 4; ++k) {
       EXPECT_EQ(algo.seen[round], algo.seen[round + k])
@@ -88,10 +97,10 @@ TEST(SchedulerSemanticsTest, AsyncProducesStaleSnapshots) {
   opts.sched.kind = sched::SchedulerKind::Async;
   opts.maxEvents = 400;
   Engine eng(square(), square(), algo, opts);
-  eng.run();
+  const RunResult res = eng.run();
   std::set<std::vector<double>> distinct(algo.seen.begin(), algo.seen.end());
   EXPECT_GT(distinct.size(), 1u);
-  EXPECT_LT(distinct.size(), algo.seen.size());
+  EXPECT_LT(distinct.size(), res.metrics.phaseActivations.at(core::kBaseline));
 }
 
 TEST(SchedulerSemanticsTest, SsyncActiveSubsetVaries) {
@@ -105,11 +114,13 @@ TEST(SchedulerSemanticsTest, SsyncActiveSubsetVaries) {
   opts.sched.activationProb = 0.5;
   opts.maxEvents = 400;
   Engine eng(square(), square(), algo, opts);
-  eng.run();
+  const RunResult res = eng.run();
   // 4 robots, ~0.5 activation: computes strictly between one robot per
   // round and all robots every round.
-  EXPECT_GT(algo.seen.size(), 100u);
-  EXPECT_LT(algo.seen.size(), 400u);
+  const std::uint64_t computes =
+      res.metrics.phaseActivations.at(core::kBaseline);
+  EXPECT_GT(computes, 100u);
+  EXPECT_LT(computes, 400u);
 }
 
 TEST(SchedulerSemanticsTest, EventAccountingConsistent) {

@@ -1,15 +1,17 @@
 #pragma once
 
 /// \file kernel_oracle.h
-/// Test-only reference copies of three geometry/configuration kernels, in
+/// Test-only reference copies of four geometry/configuration kernels, in
 /// their straightforward form:
+///   - angle normalization to [0, 2pi) calling std::fmod on every input;
 ///   - Welzl's smallest enclosing circle, shuffling a fresh copy of the
 ///     points with a freshly seeded std::mt19937 on every call;
 ///   - "holds C(P)" tested index by index, each test recomputing C(P);
 ///   - symmetry axes found by running the full reflection match on every
 ///     candidate direction.
-/// The library's kernels reuse a per-n insertion order, compute C(P) once
-/// per holder scan and prefilter axis candidates. They must return exactly
+/// The library's kernels skip fmod where it returns its argument, reuse a
+/// per-n insertion order, compute C(P) once per holder scan and prefilter
+/// axis candidates. They must return exactly
 /// what these copies return, bit for bit (tests/kernel_oracle_test.cpp).
 
 #include <algorithm>
@@ -106,6 +108,14 @@ inline bool reflectionMapsToSelf(const config::Configuration& p, Vec2 center,
 }
 
 }  // namespace detail
+
+/// geom::norm2pi with std::fmod on every input.
+inline double norm2pi(double a) {
+  double r = std::fmod(a, geom::kTwoPi);
+  if (r < 0) r += geom::kTwoPi;
+  if (r >= geom::kTwoPi) r = 0.0;
+  return r;
+}
 
 /// Welzl's algorithm over a copy shuffled by a freshly seeded mt19937.
 inline Circle smallestEnclosingCircle(std::span<const Vec2> pts) {

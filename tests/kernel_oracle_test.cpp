@@ -1,4 +1,6 @@
-/// The SEC, SEC-holder and symmetry-axis kernels against their reference
+/// Angle normalization, bit for bit (signed zeros, infinities and NaN
+/// included), on special values and random corpora; and the SEC,
+/// SEC-holder and symmetry-axis kernels against their reference
 /// copies in kernel_oracle.h: every double and every index must be equal
 /// (==, no tolerance), for n = 1..64, on generator corpora (regular,
 /// equiangular, bi-angled, shifted, axial, rotationally symmetric, random),
@@ -7,9 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <initializer_list>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -113,6 +117,60 @@ void expectSameAsOracle(const Configuration& p, Vec2 center,
       EXPECT_EQ(symmetryAxes(p, c, tol), oracle::symmetryAxes(p, c, tol))
           << at << " center=(" << c.x << "," << c.y << ")";
     }
+  }
+}
+
+TEST(KernelOracleTest, Norm2PiMatchesFmodBitForBit) {
+  using Lim = std::numeric_limits<double>;
+  const double inf = Lim::infinity();
+  std::vector<double> xs = {0.0,
+                            -0.0,
+                            kPi,
+                            -kPi,
+                            kTwoPi,
+                            -kTwoPi,
+                            2 * kTwoPi,
+                            -2 * kTwoPi,
+                            1e300,
+                            -1e300,
+                            Lim::max(),
+                            -Lim::max(),
+                            Lim::min(),
+                            -Lim::min(),
+                            Lim::denorm_min(),
+                            -Lim::denorm_min(),
+                            inf,
+                            -inf,
+                            Lim::quiet_NaN(),
+                            -Lim::quiet_NaN()};
+  // The ulps on both sides of +-2pi and +-4pi: where the fast path ends.
+  for (const double edge : {kTwoPi, -kTwoPi, 2 * kTwoPi, -2 * kTwoPi}) {
+    double below = edge;
+    double above = edge;
+    for (int k = 0; k < 4; ++k) {
+      below = std::nextafter(below, -inf);
+      above = std::nextafter(above, inf);
+      xs.push_back(below);
+      xs.push_back(above);
+    }
+  }
+  Rng rng(2024);
+  std::uniform_real_distribution<double> wide(-8 * kTwoPi, 8 * kTwoPi);
+  std::uniform_real_distribution<double> huge(-1e9, 1e9);
+  std::uniform_real_distribution<double> unit(-1.0, 1.0);
+  for (int i = 0; i < 20000; ++i) {
+    xs.push_back(wide(rng));
+    xs.push_back(huge(rng));
+    // The library's inputs: arguments of vectors and their differences.
+    const double a = Vec2{unit(rng), unit(rng)}.arg();
+    const double b = Vec2{unit(rng), unit(rng)}.arg();
+    xs.push_back(a);
+    xs.push_back(a - b);
+  }
+  for (const double x : xs) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(geom::norm2pi(x)),
+              std::bit_cast<std::uint64_t>(oracle::norm2pi(x)))
+        << std::hexfloat << x;
   }
 }
 

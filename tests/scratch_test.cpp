@@ -232,16 +232,29 @@ class DriftAlgorithm final : public Algorithm {
   std::string name() const override { return "drift"; }
 };
 
+/// Robots at an even snapshot index stay without drawing a bit, the others
+/// drift: the engine remembers (and sometimes reuses) stays on every step.
+class HalfDriftAlgorithm final : public Algorithm {
+ public:
+  Action compute(const Snapshot& snap, sched::RandomSource&) const override {
+    if (snap.selfIndex % 2 == 0) return Action::stay(1);
+    geom::Path path{Vec2{0.0, 0.0}};
+    path.lineTo(Vec2{0.01, 0.0});
+    return Action{path, 1};
+  }
+  std::string name() const override { return "half-drift"; }
+};
+
 /// Steps a warmed engine and returns the heap allocations performed by the
 /// measured window. Steady state must be exactly zero: this is the unit-test
 /// twin of bench_perf's allocs_per_event rows and of the exact (no noise
 /// floor) gate in tools/apf_bench_diff.
-std::uint64_t steadyStateAllocs(bool withFaults) {
+std::uint64_t steadyStateAllocs(bool withFaults,
+                                const Algorithm& algo = DriftAlgorithm()) {
   const std::size_t n = 16;
   config::Rng rng(106);
   const Configuration start = config::randomConfiguration(n, rng, 5.0, 0.1);
   const Configuration pattern = io::starPattern(n);
-  DriftAlgorithm algo;
   EngineOptions opts;
   opts.seed = 1234;
   opts.sched.kind = sched::SchedulerKind::Async;
@@ -270,6 +283,13 @@ TEST(AllocHookTest, EngineSteadyStateAllocFree) {
 
 TEST(AllocHookTest, EngineSteadyStateAllocFreeUnderFaults) {
   EXPECT_EQ(steadyStateAllocs(true), 0u);
+}
+
+TEST(AllocHookTest, RememberedStaysAllocFree) {
+  // The per-robot stay records are reserved when the engine is built, for
+  // one point more than n (a multiplicity flip can add one).
+  EXPECT_EQ(steadyStateAllocs(false, HalfDriftAlgorithm()), 0u);
+  EXPECT_EQ(steadyStateAllocs(true, HalfDriftAlgorithm()), 0u);
 }
 
 }  // namespace

@@ -3,7 +3,9 @@
 /// current points returns, across mutation, copy, and move. The per-thread
 /// Welzl insertion orders behind smallestEnclosingCircle must be invisible
 /// too, with several threads calling the kernels at once. Labelled `perf`
-/// so the TSan CI lane runs it alongside the campaign tests.
+/// so the TSan CI lane runs it alongside the campaign tests. Engines built
+/// from cold and from warmed copies of one start and pattern must report
+/// the same Metrics, geometry-cache counters included.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +16,9 @@
 #include "config/configuration.h"
 #include "config/generator.h"
 #include "config/symmetry.h"
+#include "core/form_pattern.h"
 #include "geom/sec.h"
+#include "sim/engine.h"
 
 namespace apf::config {
 namespace {
@@ -170,6 +174,45 @@ TEST(SecCacheTest, KernelsFromFourThreadsMatchSingleThread) {
       EXPECT_TRUE(got[t][k] == expected[i])
           << "thread " << t << " call " << k << " n=" << inputs[i].size();
     }
+  }
+}
+
+TEST(SecCacheTest, EngineMetricsIgnoreTheCallersCacheState) {
+  // A caller's start and pattern may arrive with their SEC and Weber point
+  // memoized or not, and a Configuration shared between threads may be
+  // warmed by another thread at any moment. The engine recomputes the
+  // pattern's caches itself (the start's are dropped at the first Look),
+  // so a run's Metrics, its geometry-cache counters included, are the same
+  // either way.
+  const core::FormPatternAlgorithm algo;
+  for (std::uint64_t seed : {3u, 4u, 5u}) {
+    Rng rng(seed);
+    const Configuration cold = randomConfiguration(8, rng, 5.0, 0.1);
+    const Configuration coldPattern = randomPattern(8, rng);
+    const Configuration start(cold.points());
+    const Configuration pattern(coldPattern.points());
+    Configuration warmStart = start;
+    Configuration warmPattern = pattern;
+    for (const Configuration* c : {&warmStart, &warmPattern}) {
+      c->sec();
+      c->weberPoint();
+    }
+    sim::EngineOptions opts;
+    opts.seed = seed;
+    opts.maxEvents = 20000;
+    const sim::Metrics a = sim::Engine(start, pattern, algo, opts).run().metrics;
+    const sim::Metrics b =
+        sim::Engine(warmStart, warmPattern, algo, opts).run().metrics;
+    EXPECT_EQ(a.cycles, b.cycles) << "seed " << seed;
+    EXPECT_EQ(a.events, b.events) << "seed " << seed;
+    EXPECT_EQ(a.randomBits, b.randomBits) << "seed " << seed;
+    EXPECT_EQ(a.distance, b.distance) << "seed " << seed;
+    EXPECT_EQ(a.phaseActivations, b.phaseActivations) << "seed " << seed;
+    EXPECT_EQ(a.computesReused, b.computesReused) << "seed " << seed;
+    EXPECT_EQ(a.secCacheHits, b.secCacheHits) << "seed " << seed;
+    EXPECT_EQ(a.secCacheMisses, b.secCacheMisses) << "seed " << seed;
+    EXPECT_EQ(a.weberCacheHits, b.weberCacheHits) << "seed " << seed;
+    EXPECT_EQ(a.weberCacheMisses, b.weberCacheMisses) << "seed " << seed;
   }
 }
 

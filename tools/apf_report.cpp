@@ -3,7 +3,8 @@
 /// structured event logs (`*.jsonl`) from a directory and prints
 ///  * success rates and run-cost statistics grouped by (algo, sched, n),
 ///  * random-bit accounting (the paper's one-bit-per-cycle claim),
-///  * per-phase activation and wall-time breakdowns,
+///  * per-phase activation and wall-time breakdowns, with the share of
+///    activations the engine answered from a reused stay,
 ///  * fault-injection accounting (run outcomes, injected faults by kind;
 ///    docs/FAULTS.md),
 ///  * campaign-pool statistics (`campaign.*` manifest keys: worker
@@ -99,6 +100,9 @@ struct Report {
   std::map<int, std::uint64_t> phaseNanos;
   std::uint64_t totalBits = 0;
   std::uint64_t totalCycles = 0;
+  // Computes answered from the robot's last randomness-free stay
+  // (`result.compute_reused`; included in phaseActivations).
+  std::uint64_t computesReused = 0;
   // Fault accounting from manifests (docs/FAULTS.md).
   int faultRuns = 0;  // manifests with fault.active=true
   std::map<std::string, int> outcomes;  // result.outcome tallies
@@ -271,6 +275,8 @@ void ingestManifest(const fs::path& path, Report& rep) {
       static_cast<std::uint64_t>(num(m, "result.election_rounds"));
   rep.totalBits += static_cast<std::uint64_t>(bits);
   rep.totalCycles += static_cast<std::uint64_t>(cycles);
+  rep.computesReused +=
+      static_cast<std::uint64_t>(num(m, "result.compute_reused"));
 
   rep.outcomes[str(m, "result.outcome", "?")] += 1;
   if (boolean(m, "fault.active")) rep.faultRuns += 1;
@@ -438,6 +444,13 @@ void printPhases(const Report& rep) {
                                   static_cast<double>(totalNs)
                             : 0.0);
   }
+  std::printf("reused stays (algorithm not called): %llu of %llu "
+              "activations (%.1f%%)\n",
+              static_cast<unsigned long long>(rep.computesReused),
+              static_cast<unsigned long long>(total),
+              total > 0 ? 100.0 * static_cast<double>(rep.computesReused) /
+                              static_cast<double>(total)
+                        : 0.0);
 }
 
 void printFaults(const Report& rep) {
@@ -699,6 +712,7 @@ void printJson(const Report& rep, bool consistent, double confidence) {
     phases += w.str();
   }
   top.rawField("phases", "[" + phases + "]");
+  top.field("compute_reused", rep.computesReused);
 
   {
     JsonObjectWriter w;
