@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "config/generator.h"
 #include "obs/json.h"
 #include "sim/engine.h"
 #include "sim/shrink.h"
@@ -29,7 +28,7 @@ std::string toJson(const ShardSpec& spec) {
   w.field("runs", spec.runs);
   w.field("max_events", spec.maxEvents);
   w.field("delta", spec.delta);
-  w.field("multiplicity", spec.multiplicity);
+  w.field("multiplicity", spec.multiplicityDetection);
   w.field("chirality", spec.commonChirality);
   w.field("crash_f", spec.crashF);
   w.field("crash_horizon", spec.crashHorizon);
@@ -44,31 +43,12 @@ std::string toJson(const ShardSpec& spec) {
 std::string shardConfigKey(const ShardSpec& spec) { return toJson(spec); }
 
 std::string validateShardSpec(const ShardSpec& spec) {
-  if (spec.n == 0) return "n must be at least 1";
   if (spec.runs == 0) return "runs must be at least 1";
-  if (spec.pattern.size() != spec.n) {
-    return "pattern has " + std::to_string(spec.pattern.size()) +
-           " points but n is " + std::to_string(spec.n);
-  }
-  if (spec.startKind != "random" && spec.startKind != "symmetric" &&
-      spec.startKind != "points") {
-    return "unknown start_kind \"" + spec.startKind + "\"";
-  }
-  if (spec.startKind == "points" && spec.start.size() != spec.n) {
-    return "start has " + std::to_string(spec.start.size()) +
-           " points but n is " + std::to_string(spec.n);
-  }
-  if (spec.crashF < 0) return "crash_f must be non-negative";
-  if (spec.crashF > 0 &&
-      static_cast<std::size_t>(spec.crashF) >= spec.n) {
-    return "crash_f must leave at least one live robot";
-  }
-  if (spec.crashF > 0 && spec.crashHorizon == 0) {
-    return "crash_horizon must be positive";
-  }
   if (spec.retries < 0) return "retries must be non-negative";
-  if (const auto why = fault::validate(spec.fault)) return *why;
-  return "";
+  if (spec.earlyStopProb != Scenario().earlyStopProb) {
+    return "early_stop_prob is not part of apf.shard.v1";
+  }
+  return validate(spec);
 }
 
 // ------------------------------------------------------------ execution --
@@ -87,47 +67,14 @@ std::string runScenarioPayload(const ShardSpec& spec, const Algorithm& algo,
                                std::uint64_t runIndex, const Attempt& att) {
   // Retry salts XOR into the effective seed (0 for attempts 0/1 —
   // the same-seed determinism proof); crash victims/timings are re-drawn
-  // per run so the campaign explores many crash schedules. The payload is
-  // a flat JSON line with only deterministic fields, so campaign outputs
-  // diff bit-identical across thread counts, resumes and machines.
-  const std::uint64_t runSeed = spec.baseSeed + runIndex;
-  const std::uint64_t eff = runSeed ^ att.seedSalt;
-
-  EngineOptions eopts;
-  eopts.seed = eff;
-  eopts.maxEvents = spec.maxEvents;
-  eopts.multiplicityDetection = spec.multiplicity;
-  eopts.commonChirality = spec.commonChirality;
-  eopts.sched.kind = spec.sched;
-  eopts.sched.delta = spec.delta;
+  // per run (engineOptionsFor) so the campaign explores many crash
+  // schedules. The payload is a flat JSON line with only deterministic
+  // fields, so campaign outputs diff bit-identical across thread counts,
+  // resumes and machines.
+  const std::uint64_t eff = (spec.baseSeed + runIndex) ^ att.seedSalt;
+  EngineOptions eopts = engineOptionsFor(spec, eff);
   eopts.watchdog = att.watchdog;
-
-  const std::uint64_t fseed = spec.faultSeedSet ? spec.fault.seed : eff;
-  fault::FaultPlan plan;
-  if (spec.crashF > 0) {
-    plan = fault::planWithRandomCrashes(spec.n, spec.crashF, fseed,
-                                        spec.crashHorizon);
-  }
-  plan.noiseSigma = spec.fault.noiseSigma;
-  plan.omitProb = spec.fault.omitProb;
-  plan.multFlipProb = spec.fault.multFlipProb;
-  plan.dropProb = spec.fault.dropProb;
-  plan.truncProb = spec.fault.truncProb;
-  plan.seed = fseed;
-  eopts.fault = plan;
-
-  config::Configuration runStart = spec.start;
-  if (spec.startKind != "points") {
-    config::Rng rng(eff + 7);
-    if (spec.startKind == "symmetric") {
-      const int rho = static_cast<int>(spec.n) / 2;
-      runStart = config::symmetricConfiguration(rho > 1 ? rho : 2, 2, rng);
-    } else {
-      runStart = config::randomConfiguration(spec.n, rng, 5.0, 0.1);
-    }
-  }
-
-  Engine eng(runStart, spec.pattern, algo, eopts);
+  Engine eng(startFor(spec, eff), spec.pattern, algo, std::move(eopts));
   const RunResult res = eng.run();
   obs::JsonObjectWriter w;
   w.field("seed", eff);

@@ -4,14 +4,14 @@
 /// A campaign as one value, and the journaled, supervised executor that
 /// runs any slice of it (docs/API.md, docs/RESILIENCE.md).
 ///
-/// ShardSpec (`apf.shard.v1`) describes a whole Monte Carlo campaign: the
-/// scenario (algorithm name, robot count, resolved pattern points, start
-/// recipe, scheduler), seeds, the base fault plan (fault::toJson), and the
-/// supervisor knobs (watchdog budgets, retry policy). Its canonical JSON is
-/// the journal config key, compared byte for byte and never decoded, so
-/// resuming a journal of a DIFFERENT campaign refuses loudly instead of
-/// merging garbage. tests/shard_test.cpp pins the key's bytes, so a journal
-/// written by an earlier build still resumes.
+/// ShardSpec (`apf.shard.v1`) describes a whole Monte Carlo campaign: a
+/// Scenario (sim/scenario.h: algorithm name, robot count, resolved pattern
+/// points, start recipe, scheduler, caps, base fault plan), a seed range,
+/// and the supervisor knobs (watchdog budgets, retry policy). Its
+/// canonical JSON is the journal config key, compared byte for byte and
+/// never decoded, so resuming a journal of a DIFFERENT campaign refuses
+/// loudly instead of merging garbage. tests/shard_test.cpp pins the key's
+/// bytes, so a journal written by an earlier build still resumes.
 ///
 /// Determinism contract (tests/shard_test.cpp, tools/kill_resume_check.sh):
 ///  * runShard(spec, algo, 0, spec.runs) is the whole campaign; apf_sim's
@@ -29,46 +29,22 @@
 #include <string>
 #include <vector>
 
-#include "config/configuration.h"
-#include "fault/fault.h"
-#include "sched/scheduler.h"
 #include "sim/algorithm.h"
+#include "sim/scenario.h"
 #include "sim/supervisor.h"
 
 namespace apf::sim {
 
-/// Versioned description of a whole campaign (`apf.shard.v1`). Value
-/// semantics; toJson encodes every field (doubles via obs::jsonNumber), and
-/// those bytes are the journal config key.
-struct ShardSpec {
+/// Versioned description of a whole campaign (`apf.shard.v1`): a Scenario
+/// run at seeds baseSeed .. baseSeed + runs - 1 under one supervisor
+/// policy. Value semantics; toJson encodes every field that can change a
+/// run (doubles via obs::jsonNumber), and those bytes are the journal
+/// config key.
+struct ShardSpec : Scenario {
   static constexpr const char* kSchema = "apf.shard.v1";
 
-  std::string algo = "form";     ///< algorithm name (apf_sim --algo spelling)
-  std::size_t n = 8;             ///< robots per run
-  /// Human label for the pattern ("star", a file path, ...). The points
-  /// below are authoritative; the label is bookkeeping for reports.
-  std::string patternLabel = "star";
-  config::Configuration pattern; ///< resolved target points (wire-embedded)
-  /// "random" | "symmetric": regenerated per run from the effective seed.
-  /// "points": the fixed `start` configuration below is used for every run.
-  std::string startKind = "random";
-  config::Configuration start;   ///< only meaningful for startKind "points"
-  sched::SchedulerKind sched = sched::SchedulerKind::Async;
   std::uint64_t baseSeed = 1;    ///< run i executes with seed baseSeed + i
   std::uint64_t runs = 1;
-  std::uint64_t maxEvents = 1000000;
-  double delta = 0.05;
-  bool multiplicity = false;
-  bool commonChirality = false;
-  /// Crash-stop faults: f victims re-drawn per run inside `crashHorizon`
-  /// events (fault::planWithRandomCrashes), matching apf_sim --crash.
-  int crashF = 0;
-  std::uint64_t crashHorizon = 2000;
-  /// Base fault plan: the sensor/compute knobs plus the fault-stream seed.
-  /// Per-run plans re-draw crash victims from the effective per-run seed
-  /// unless `faultSeedSet` pins `fault.seed` for every run.
-  fault::FaultPlan fault;
-  bool faultSeedSet = false;
   // Supervisor knobs, applied to every run.
   std::uint64_t watchdogEvents = 0;
   std::uint64_t watchdogMs = 0;
@@ -84,7 +60,8 @@ std::string toJson(const ShardSpec& spec);
 std::string shardConfigKey(const ShardSpec& spec);
 
 /// Empty string when the spec is executable; otherwise a human-readable
-/// reason (pattern/robot count mismatch, crashF >= n, invalid plan, ...).
+/// reason: validate(Scenario)'s, no runs, negative retries, or an
+/// earlyStopProb other than the default (`apf.shard.v1` cannot encode it).
 std::string validateShardSpec(const ShardSpec& spec);
 
 /// The per-run supervisor policy encoded in the spec.
@@ -94,9 +71,10 @@ SupervisorOptions shardSupervisorOptions(const ShardSpec& spec,
 /// Executes ONE run of the campaign: global index `runIndex`, retry salt
 /// folded in via `att`. Deterministic given (spec, runIndex, att.seedSalt)
 /// — the payload carries no wall-clock or process-identity fields, which
-/// is what makes campaign output byte-comparable. This is the exact worker
-/// apf_sim's --campaign mode always ran; see the .cpp for the
-/// field-by-field contract.
+/// is what makes campaign output byte-comparable. The run is the
+/// scenario's run at seed (baseSeed + runIndex) ^ att.seedSalt
+/// (startFor / engineOptionsFor), so a one-run spec's run 0 is exactly
+/// apf_sim's single run at --seed baseSeed.
 std::string runScenarioPayload(const ShardSpec& spec, const Algorithm& algo,
                                std::uint64_t runIndex, const Attempt& att);
 

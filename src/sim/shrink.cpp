@@ -46,25 +46,14 @@ config::Configuration pointsFromJson(const obs::JsonNode& node,
 }
 
 ReplayResult replay(const ReproCase& c, const Algorithm& algo) {
-  EngineOptions eopts;
-  eopts.seed = c.seed;
-  eopts.maxEvents = c.maxEvents;
-  eopts.multiplicityDetection = c.multiplicityDetection;
-  eopts.commonChirality = c.commonChirality;
-  eopts.sched.kind = c.sched;
-  eopts.sched.delta = c.delta;
-  eopts.sched.earlyStopProb = c.earlyStopProb;
-  eopts.fault = c.fault;
-
-  // Local copies: replay probes run back to back and must not share a lazy
-  // SEC cache with the caller's instances.
-  config::Configuration start = c.start;
-  config::Configuration pattern = c.pattern;
+  // A fresh start: replay probes run back to back and must not share a
+  // lazy SEC cache with the caller's instance.
+  config::Configuration start = startFor(c, c.seed);
   const double startSec = start.sec().radius;
-  const bool patternHasMultiplicity = pattern.hasMultiplicity();
+  const bool patternHasMultiplicity = c.pattern.hasMultiplicity();
 
   ReplayResult out;
-  Engine eng(start, pattern, algo, eopts);
+  Engine eng(std::move(start), c.pattern, algo, engineOptionsFor(c, c.seed));
 
   // Same invariants as sim/fuzzer.cpp, minus the incremental shortcuts
   // (which are exactness-preserving there, so both observers flag the same
@@ -111,6 +100,19 @@ ReplayResult replay(const ReproCase& c, const Algorithm& algo) {
   return out;
 }
 
+ReproCase reproCaseFor(const Scenario& s, std::uint64_t seed) {
+  ReproCase c;
+  static_cast<Scenario&>(c) = s;
+  c.start = startFor(s, seed);
+  c.fault = engineOptionsFor(s, seed).fault;
+  c.startKind = "points";
+  c.n = c.start.size();
+  c.crashF = 0;
+  c.faultSeedSet = true;
+  c.seed = seed;
+  return c;
+}
+
 ReproCase reproFromFailure(const std::string& algoName,
                            const config::Configuration& start,
                            const config::Configuration& pattern,
@@ -118,6 +120,7 @@ ReproCase reproFromFailure(const std::string& algoName,
                            const FuzzFailure& failure) {
   ReproCase c;
   c.algo = algoName;
+  c.n = start.size();
   c.start = start;
   c.pattern = pattern;
   c.seed = failure.seed;
@@ -132,6 +135,11 @@ ReproCase reproFromFailure(const std::string& algoName,
 }
 
 std::string toJson(const ReproCase& c) {
+  if (c.startKind != "points" || c.crashF != 0 || !c.faultSeedSet) {
+    throw std::logic_error(
+        "repro: apf.repro.v1 carries only points starts with explicit "
+        "crashes and a pinned fault seed");
+  }
   obs::JsonObjectWriter w;
   w.field("repro", ReproCase::kSchema);
   w.field("algo", c.algo);
@@ -166,6 +174,7 @@ ReproCase reproFromJson(std::string_view text) {
     throw std::runtime_error("repro: missing start/pattern");
   }
   c.start = pointsFromJson(*start, "repro: start");
+  c.n = c.start.size();
   c.pattern = pointsFromJson(*pattern, "repro: pattern");
   if (const obs::JsonNode* v = doc->find("seed")) c.seed = v->asU64(c.seed);
   if (const obs::JsonNode* v = doc->find("max_events")) {
@@ -223,6 +232,7 @@ namespace {
 ReproCase withoutRobot(const ReproCase& c, std::size_t k) {
   ReproCase cand = c;
   cand.start = c.start.without(k);
+  cand.n = cand.start.size();
   cand.pattern = c.pattern.without(std::min(k, c.pattern.size() - 1));
   cand.fault.crashes.clear();
   for (const fault::CrashFault& f : c.fault.crashes) {

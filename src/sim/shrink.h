@@ -22,30 +22,30 @@
 #include <string_view>
 
 #include "config/configuration.h"
-#include "fault/fault.h"
 #include "obs/json.h"
-#include "sched/scheduler.h"
 #include "sim/algorithm.h"
 #include "sim/fuzzer.h"
 #include "sim/metrics.h"
+#include "sim/scenario.h"
 
 namespace apf::sim {
 
-/// A self-contained, exactly replayable counterexample.
-struct ReproCase {
+/// A self-contained, exactly replayable counterexample: one run of a
+/// points-start Scenario (sim/scenario.h) at `seed`, plus the violation it
+/// is expected to show. `apf.repro.v1` encodes every field that can change
+/// that run. The fields it leaves out keep the values set here: crashes
+/// are explicit entries in `fault` (crashF stays 0), `fault.seed` is
+/// authoritative (faultSeedSet), and n follows start.size().
+struct ReproCase : Scenario {
   static constexpr const char* kSchema = "apf.repro.v1";
 
-  std::string algo = "form";  ///< algorithm name (apf_sim --algo spelling)
-  config::Configuration start;
-  config::Configuration pattern;
+  ReproCase() {
+    startKind = "points";
+    maxEvents = 300000;
+    faultSeedSet = true;
+  }
+
   std::uint64_t seed = 1;
-  std::uint64_t maxEvents = 300000;
-  double delta = 0.05;
-  double earlyStopProb = 0.5;
-  bool multiplicityDetection = false;
-  bool commonChirality = false;
-  sched::SchedulerKind sched = sched::SchedulerKind::Async;
-  fault::FaultPlan fault;
   /// Expected safety violation: "collision" or "sec_growth".
   std::string violationKind;
 };
@@ -70,6 +70,11 @@ struct ReplayResult {
 /// Deterministic given (case, algo).
 ReplayResult replay(const ReproCase& c, const Algorithm& algo);
 
+/// The scenario's run at `seed`, frozen into a ReproCase: its start points
+/// and its per-run fault plan (crash victims drawn, stream seed resolved).
+/// replay() of the result re-executes exactly that run.
+ReproCase reproCaseFor(const Scenario& s, std::uint64_t seed);
+
 /// Builds the (unshrunk) ReproCase for one fuzzer failure. `opts` must be
 /// the FuzzOptions the campaign ran with; start/pattern likewise.
 ReproCase reproFromFailure(const std::string& algoName,
@@ -92,7 +97,8 @@ config::Configuration pointsFromJson(const obs::JsonNode& node,
 /// 64-bit seeds survive via raw-token parsing, so
 /// `reproFromJson(toJson(c))` round-trips every field bit for bit.
 /// reproFromJson/loadRepro throw std::runtime_error on malformed input or
-/// a schema mismatch.
+/// a schema mismatch; toJson throws std::logic_error on a case whose
+/// crashF, faultSeedSet or startKind the schema could not carry.
 std::string toJson(const ReproCase& c);
 ReproCase reproFromJson(std::string_view text);
 ReproCase loadRepro(const std::string& path);

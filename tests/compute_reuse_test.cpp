@@ -28,7 +28,6 @@
 #include <utility>
 #include <vector>
 
-#include "config/generator.h"
 #include "core/form_pattern.h"
 #include "core/phases.h"
 #include "core/rsb.h"
@@ -269,33 +268,11 @@ std::vector<Case> corpus() {
 }
 
 /// The engine run behind runScenarioPayload(spec, algo, 0, {}), rebuilt
-/// field by field (sim/shard.cpp) so its full Metrics can be read.
+/// from the same recipe (sim/scenario.h) so its full Metrics can be read.
 RunResult runDirect(const Case& c) {
-  const ShardSpec& spec = c.spec;
-  const std::uint64_t seed = spec.baseSeed;
-  EngineOptions opts;
-  opts.seed = seed;
-  opts.maxEvents = spec.maxEvents;
-  opts.sched.kind = spec.sched;
-  opts.sched.delta = spec.delta;
-  fault::FaultPlan plan;
-  if (spec.crashF > 0) {
-    plan = fault::planWithRandomCrashes(spec.n, spec.crashF, seed,
-                                        spec.crashHorizon);
-  }
-  plan.noiseSigma = spec.fault.noiseSigma;
-  plan.omitProb = spec.fault.omitProb;
-  plan.dropProb = spec.fault.dropProb;
-  plan.truncProb = spec.fault.truncProb;
-  plan.seed = seed;
-  opts.fault = plan;
-  config::Rng rng(seed + 7);
-  const config::Configuration start =
-      spec.startKind == "symmetric"
-          ? config::symmetricConfiguration(static_cast<int>(spec.n) / 2, 2,
-                                           rng)
-          : config::randomConfiguration(spec.n, rng, 5.0, 0.1);
-  Engine eng(start, spec.pattern, *c.algo, opts);
+  const std::uint64_t seed = c.spec.baseSeed;
+  Engine eng(startFor(c.spec, seed), c.spec.pattern, *c.algo,
+             engineOptionsFor(c.spec, seed));
   return eng.run();
 }
 

@@ -3,7 +3,10 @@
 ///
 ///  * shardConfigKey's bytes are pinned, so a journal written by an
 ///    earlier build still resumes; the fixed start is on the wire only
-///    when it is authoritative; validation catches inconsistent specs.
+///    when it is authoritative; validation catches inconsistent specs,
+///    start recipes that cannot produce n robots, and run fields the wire
+///    cannot carry.
+///  * A repro of a campaign run replays that run (one recipe).
 ///  * A run's payload depends only on (spec, global index, attempt salt).
 ///  * runShard over slices of [0, runs) on one journal (an uneven 3-way
 ///    split and per-run slices [i, i+1), serially and on a thread pool)
@@ -29,6 +32,7 @@
 #include "core/form_pattern.h"
 #include "io/patterns.h"
 #include "sim/shard.h"
+#include "sim/shrink.h"
 #include "sim/supervisor.h"
 #include "tmpdir.h"
 
@@ -160,7 +164,52 @@ TEST(ShardSpecTest, ValidateCatchesInconsistentSpecs) {
   EXPECT_NE(validateShardSpec(bad), "");
 }
 
+TEST(ShardSpecTest, ValidateRefusesStartsThatCannotProduceNRobots) {
+  // A symmetric start is two rings of n/2 robots, so it produces exactly n
+  // robots only for an even n >= 4.
+  ShardSpec s = fuzzSpec();
+  s.startKind = "symmetric";
+  EXPECT_EQ(validateShardSpec(s), "");
+  EXPECT_EQ(startFor(s, 1).size(), s.n);
+  s.n = 7;
+  s.pattern = io::starPattern(7);
+  EXPECT_NE(validateShardSpec(s), "");
+  s.n = 2;
+  s.pattern = io::polygonPattern(2);
+  EXPECT_NE(validateShardSpec(s), "");
+  ShardSpec p = scriptedSpec();
+  p.start = p.start.without(0);  // 5 fixed points for n = 6
+  EXPECT_NE(validateShardSpec(p), "");
+}
+
+TEST(ShardSpecTest, ValidateRefusesRunFieldsTheWireCannotCarry) {
+  ShardSpec s = fuzzSpec();
+  s.earlyStopProb = 0.9;  // apf.shard.v1 has no early_stop_prob
+  EXPECT_NE(validateShardSpec(s), "");
+  s = faultSpec();  // crash_f = 1 draws the victims per run...
+  s.fault.crashes = {{0, 10}};  // ...so explicit entries would be lost
+  EXPECT_NE(validateShardSpec(s), "");
+}
+
 // ---------------------------------------------------------- determinism --
+
+TEST(ScenarioTest, ReproCaseForReplaysTheCampaignRun) {
+  // One recipe: the repro of run 2 (its crash victim drawn, its fault seed
+  // resolved), through the apf.repro.v1 codec, replays the run whose
+  // payload runScenarioPayload reports.
+  const ShardSpec spec = faultSpec();
+  core::FormPatternAlgorithm algo;
+  const ReproCase c = reproCaseFor(spec, spec.baseSeed + 2);
+  EXPECT_EQ(c.fault.crashes.size(), 1u);
+  EXPECT_EQ(c.fault.seed, spec.baseSeed + 2);
+  const RunResult res = replay(reproFromJson(toJson(c)), algo).run;
+  const std::string payload = runScenarioPayload(spec, algo, 2, Attempt{});
+  EXPECT_NE(payload.find("\"cycles\":" + std::to_string(res.metrics.cycles) +
+                         ",\"events\":" + std::to_string(res.metrics.events) +
+                         ","),
+            std::string::npos)
+      << payload;
+}
 
 TEST(ShardPayloadTest, PayloadDependsOnlyOnSpecIndexAndSalt) {
   const ShardSpec spec = faultSpec();

@@ -23,7 +23,6 @@
 #include <memory>
 #include <string>
 
-#include "config/generator.h"
 #include "est/ab.h"
 #include "est/adaptive.h"
 #include "io/patterns.h"
@@ -35,22 +34,14 @@
 #include "sim/supervisor.h"
 #include "algo_select.h"
 #include "cli_parse.h"
+#include "scenario_flags.h"
 
 namespace {
 
 struct Options {
-  std::uint64_t n = 8;
-  std::string pattern = "star";
-  std::string startKind = "random";  // random | symmetric
-  std::string sched = "async";
-  std::string algo = "form";
+  apf::cli::ScenarioFlags exp;
   std::string algoB = "yy";  // --ab second arm
   bool ab = false;
-  std::uint64_t seed = 1;
-  double delta = 0.05;
-  std::uint64_t maxEvents = 1000000;
-  bool multiplicity = false;
-  bool commonChirality = false;
   apf::est::StoppingOptions stop;
   int jobs = 0;
   std::string outPath;
@@ -64,29 +55,13 @@ struct Options {
 void registerFlags(apf::cli::ArgParser& args, Options& o) {
   using apf::cli::ArgParser;
   args.section("experiment");
-  args.u64("--n", &o.n, "N", "robots (default 8)", nullptr,
-           /*positive=*/true);
-  args.str("--pattern", &o.pattern, "NAME",
-           "target pattern (io/patterns.h names; default\nstar)");
-  args.str("--start", &o.startKind, "KIND",
-           "random|symmetric start per trial (default\nrandom)");
-  args.str("--sched", &o.sched, "S", "fsync|ssync|async (default async)");
-  args.str("--algo", &o.algo, "A",
-           std::string(apf::cli::algorithmNames()) + " (default form)");
+  apf::cli::registerScenarioFlags(
+      args, o.exp, "target pattern (io/patterns.h names; default\nstar)",
+      "base seed; trial i uses sampleSeed(S, i)");
   args.flag("--ab", &o.ab,
             "two-arm mode: estimate --algo and --algo-b,\n"
             "print comparison gates");
   args.str("--algo-b", &o.algoB, "A", "second arm for --ab (default yy)");
-  args.u64("--seed", &o.seed, "S",
-           "base seed; trial i uses sampleSeed(S, i)");
-  args.num("--delta", &o.delta, ArgParser::Num::NonNegative, "D",
-           "adversary min-move distance (default 0.05)");
-  args.u64("--max-events", &o.maxEvents, "N",
-           "per-trial event cap (default 1e6)");
-  args.flag("--multiplicity", &o.multiplicity,
-            "enable multiplicity detection");
-  args.flag("--chirality", &o.commonChirality,
-            "give all robots a common chirality");
 
   args.section("stopping rule (evaluated at batch boundaries only)");
   args.u64("--batch", &o.stop.batchSize, "N",
@@ -126,40 +101,16 @@ void registerFlags(apf::cli::ArgParser& args, Options& o) {
   args.flag("--quiet", &o.quiet, "JSON document only, no human summary");
 }
 
-/// Builds one arm's Trial closure: a pure function of (seed, index) — its
-/// own start configuration, its own Engine, nothing shared (the
+/// Builds one arm's Trial closure: a pure function of (seed, index) — the
+/// arm scenario's run at that seed on its own Engine, nothing shared (the
 /// sim::runCampaign worker contract).
-apf::est::Trial makeTrial(const Options& o,
-                          const apf::config::Configuration& pattern,
-                          apf::sim::Algorithm& algo, bool multiplicity) {
+apf::est::Trial makeTrial(apf::sim::Scenario arm,
+                          const apf::sim::Algorithm& algo) {
   using namespace apf;
-  sim::EngineOptions eopts;
-  eopts.maxEvents = o.maxEvents;
-  eopts.multiplicityDetection = multiplicity || o.multiplicity;
-  eopts.commonChirality = o.commonChirality;
-  eopts.sched.delta = o.delta;
-  const auto kind = sched::schedulerFromName(o.sched);
-  if (!kind) {
-    std::fprintf(stderr, "apf_estimate: unknown scheduler: %s\n",
-                 o.sched.c_str());
-    std::exit(2);
-  }
-  eopts.sched.kind = *kind;
-  const std::string startKind = o.startKind;
-  const auto n = static_cast<std::size_t>(o.n);
-  return [eopts, startKind, n, pattern, &algo](
-             std::uint64_t seed, std::uint64_t) -> est::Sample {
-    config::Rng rng(seed + 7);
-    config::Configuration start;
-    if (startKind == "symmetric") {
-      const int rho = static_cast<int>(n) / 2;
-      start = config::symmetricConfiguration(rho > 1 ? rho : 2, 2, rng);
-    } else {
-      start = config::randomConfiguration(n, rng, 5.0, 0.1);
-    }
-    sim::EngineOptions opts = eopts;
-    opts.seed = seed;
-    sim::Engine engine(start, pattern, algo, opts);
+  return [arm = std::move(arm), &algo](std::uint64_t seed,
+                                       std::uint64_t) -> est::Sample {
+    sim::Engine engine(sim::startFor(arm, seed), arm.pattern, algo,
+                       sim::engineOptionsFor(arm, seed));
     const sim::RunResult res = engine.run();
     est::Sample s;
     s.success = res.success;
@@ -174,13 +125,14 @@ apf::est::Trial makeTrial(const Options& o,
 /// key (resuming under ANY different option must be refused).
 apf::obs::Manifest armConfig(const Options& o, const std::string& label,
                              std::uint64_t baseSeed) {
+  const apf::sim::Scenario& sc = o.exp.scenario;
   apf::obs::Manifest m;
   m.set("campaign", "apf_estimate");
   m.set("algo", label);
-  m.set("n", static_cast<std::uint64_t>(o.n));
-  m.set("pattern", o.pattern);
-  m.set("start", o.startKind);
-  m.set("sched", o.sched);
+  m.set("n", static_cast<std::uint64_t>(sc.n));
+  m.set("pattern", sc.patternLabel);
+  m.set("start", sc.startKind);
+  m.set("sched", o.exp.sched);
   m.set("base_seed", baseSeed);
   m.set("batch", o.stop.batchSize);
   m.set("min_samples", o.stop.minSamples);
@@ -188,10 +140,11 @@ apf::obs::Manifest armConfig(const Options& o, const std::string& label,
   m.set("confidence", o.stop.confidence);
   m.set("half_width", o.stop.targetHalfWidth);
   m.set("futility", o.stop.futilityFloor);
-  m.set("max_events", o.maxEvents);
-  m.set("delta", o.delta);
-  m.set("multiplicity", o.multiplicity);
-  m.set("chirality", o.commonChirality);
+  m.set("max_events", sc.maxEvents);
+  m.set("delta", sc.delta);
+  // As given: not the value an algorithm such as scatter-form forces.
+  m.set("multiplicity", sc.multiplicityDetection);
+  m.set("chirality", sc.commonChirality);
   return m;
 }
 
@@ -204,16 +157,15 @@ Arm runArm(const Options& o, const std::string& algoName,
            std::uint64_t baseSeed, const std::string& journalSuffix,
            apf::obs::Recorder* recorder) {
   using namespace apf;
-  bool multiplicity = false;
+  sim::Scenario arm = o.exp.scenario;
+  arm.algo = algoName;
   std::unique_ptr<sim::Algorithm> algo =
-      cli::makeAlgorithm(algoName, multiplicity);
+      cli::makeAlgorithm(algoName, arm.multiplicityDetection);
   if (algo == nullptr) {
     std::fprintf(stderr, "apf_estimate: unknown algorithm: %s (want %s)\n",
                  algoName.c_str(), cli::algorithmNames());
     std::exit(2);
   }
-  const config::Configuration pattern =
-      io::patternByName(o.pattern, o.n, o.seed + 1000);
 
   std::unique_ptr<sim::CampaignJournal> journal;
   const bool resuming = !o.resumePath.empty();
@@ -231,12 +183,11 @@ Arm runArm(const Options& o, const std::string& algoName,
   aopts.recorder = recorder;
   aopts.journal = journal.get();
 
-  Arm arm;
-  arm.label = algo->name();
-  arm.estimate = est::runAdaptive(algo->name(),
-                                  makeTrial(o, pattern, *algo, multiplicity),
-                                  aopts);
-  return arm;
+  Arm out;
+  out.label = algo->name();
+  out.estimate =
+      est::runAdaptive(algo->name(), makeTrial(std::move(arm), *algo), aopts);
+  return out;
 }
 
 void printHuman(const Arm& arm) {
@@ -282,6 +233,10 @@ int main(int argc, char** argv) try {
                  "apf_estimate: --journal and --resume are exclusive\n");
     return 2;
   }
+  sim::Scenario& sc = o.exp.scenario;
+  sc.sched = cli::schedulerOrExit("apf_estimate", o.exp.sched);
+  sc.pattern = io::patternByName(sc.patternLabel, sc.n, o.exp.seed + 1000);
+  cli::requireValid("apf_estimate", sc);
 
   std::unique_ptr<obs::JsonlRecorder> sink;
   if (!o.jsonlPath.empty()) {
@@ -291,10 +246,10 @@ int main(int argc, char** argv) try {
   // Per-arm base seeds are derived, not shared: two arms must not reuse
   // the same trial seeds (that would correlate them), and the derivation
   // must be a pure function of --seed for reproducibility.
-  const std::uint64_t seedA = sched::sampleSeed(o.seed, 0);
-  const std::uint64_t seedB = sched::sampleSeed(o.seed, 1);
+  const std::uint64_t seedA = sched::sampleSeed(o.exp.seed, 0);
+  const std::uint64_t seedB = sched::sampleSeed(o.exp.seed, 1);
 
-  const Arm a = runArm(o, o.algo, seedA, o.ab ? ".a" : "", sink.get());
+  const Arm a = runArm(o, sc.algo, seedA, o.ab ? ".a" : "", sink.get());
   std::unique_ptr<Arm> b;
   if (o.ab) {
     b = std::make_unique<Arm>(runArm(o, o.algoB, seedB, ".b", sink.get()));
@@ -305,11 +260,11 @@ int main(int argc, char** argv) try {
   // byte-identical across --jobs values and kill/resume (CI byte-compares).
   obs::JsonObjectWriter top;
   top.field("schema", "apf.estimate.v1");
-  top.field("n", static_cast<std::uint64_t>(o.n));
-  top.field("pattern", o.pattern);
-  top.field("start", o.startKind);
-  top.field("sched", o.sched);
-  top.field("seed", o.seed);
+  top.field("n", static_cast<std::uint64_t>(sc.n));
+  top.field("pattern", sc.patternLabel);
+  top.field("start", sc.startKind);
+  top.field("sched", o.exp.sched);
+  top.field("seed", o.exp.seed);
   if (o.ab) {
     top.rawField("a", a.estimate.toJson());
     top.rawField("b", b->estimate.toJson());

@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "config/classify.h"
-#include "config/generator.h"
 #include "core/phases.h"
 #include "fault/fault.h"
 #include "io/patterns.h"
@@ -49,22 +48,16 @@
 #include "sim/trace.h"
 #include "algo_select.h"
 #include "cli_parse.h"
+#include "scenario_flags.h"
 
 namespace {
 
 struct Options {
-  std::uint64_t n = 8;
-  std::string pattern = "star";
+  /// The shared experiment flags; the fault flags below write into the
+  /// same scenario.
+  apf::cli::ScenarioFlags exp;
   std::string patternFile;
   std::string startFile;
-  std::string startKind = "random";  // random | symmetric
-  std::string sched = "async";
-  std::string algo = "form";  // form | rsb | yy | det | scatter-form
-  std::uint64_t seed = 1;
-  double delta = 0.05;
-  std::uint64_t maxEvents = 1000000;
-  bool multiplicity = false;
-  bool commonChirality = false;
   std::string svgPath;
   std::string tracePath;
   std::string jsonlPath;
@@ -73,18 +66,6 @@ struct Options {
   bool quiet = false;
   /// Analyze the start configuration (Definitions 1-3) instead of running.
   bool analyze = false;
-  // Fault injection (docs/FAULTS.md). Crash victims/timings are drawn from
-  // --fault-seed once n is known; the sensor/compute knobs go straight into
-  // the FaultPlan.
-  int crashF = 0;
-  std::uint64_t crashHorizon = 2000;
-  double noiseSigma = 0.0;
-  double omitProb = 0.0;
-  double multFlipProb = 0.0;
-  double dropProb = 0.0;
-  double truncProb = 0.0;
-  std::uint64_t faultSeed = 0;
-  bool faultSeedSet = false;
   // Supervised campaigns (docs/RESILIENCE.md).
   std::uint64_t campaignRuns = 0;  // 0 = single-run mode
   std::string journalPath;         // fresh journal (truncates)
@@ -101,27 +82,15 @@ struct Options {
 
 void registerFlags(apf::cli::ArgParser& args, Options& o) {
   using apf::cli::ArgParser;
-  args.u64("--n", &o.n, "N", "robots (default 8)", nullptr,
-           /*positive=*/true);
-  args.str("--pattern", &o.pattern, "NAME",
-           "polygon|star|grid|spiral|ringcore|random|\n"
-           "mult|center-mult (default star)");
+  apf::sim::Scenario& sc = o.exp.scenario;
+  apf::cli::registerScenarioFlags(
+      args, o.exp,
+      "polygon|star|grid|spiral|ringcore|random|\n"
+      "mult|center-mult (default star)",
+      "RNG seed (default 1)");
   args.str("--pattern-file", &o.patternFile, "F",
            "load pattern points from file ('x y' per line)");
-  args.str("--start", &o.startKind, "KIND",
-           "random|symmetric (default random)");
   args.str("--start-file", &o.startFile, "F", "load start points from file");
-  args.str("--sched", &o.sched, "S", "fsync|ssync|async (default async)");
-  args.str("--algo", &o.algo, "A",
-           std::string(apf::cli::algorithmNames()) + " (default form)");
-  args.u64("--seed", &o.seed, "S", "RNG seed (default 1)");
-  args.num("--delta", &o.delta, ArgParser::Num::NonNegative, "D",
-           "adversary min-move distance (default 0.05)");
-  args.u64("--max-events", &o.maxEvents, "N", "event cap (default 1e6)");
-  args.flag("--multiplicity", &o.multiplicity,
-            "enable multiplicity detection");
-  args.flag("--chirality", &o.commonChirality,
-            "give all robots a common chirality");
   args.str("--svg", &o.svgPath, "FILE", "write trajectory SVG");
   args.str("--trace", &o.tracePath, "FILE",
            "write a position trace CSV; a FILE ending in\n"
@@ -134,24 +103,25 @@ void registerFlags(apf::cli::ArgParser& args, Options& o) {
            "write run manifest (reproducibility record)");
 
   args.section("fault injection (docs/FAULTS.md)");
-  args.intNonNegative("--crash", &o.crashF, "F",
+  args.intNonNegative("--crash", &sc.crashF, "F",
                       "crash-stop F random robots (victims/timings\n"
                       "drawn from --fault-seed)");
-  args.u64("--crash-horizon", &o.crashHorizon, "N",
+  args.u64("--crash-horizon", &sc.crashHorizon, "N",
            "scheduler-event window for crashes (default\n2000)",
            nullptr, /*positive=*/true);
-  args.num("--noise", &o.noiseSigma, ArgParser::Num::NonNegative, "S",
+  args.num("--noise", &sc.fault.noiseSigma, ArgParser::Num::NonNegative, "S",
            "Gaussian snapshot noise, std dev S (global\nunits)");
-  args.num("--omit", &o.omitProb, ArgParser::Num::Probability, "P",
+  args.num("--omit", &sc.fault.omitProb, ArgParser::Num::Probability, "P",
            "omit each observed robot with probability P");
-  args.num("--mult-flip", &o.multFlipProb, ArgParser::Num::Probability, "P",
+  args.num("--mult-flip", &sc.fault.multFlipProb,
+           ArgParser::Num::Probability, "P",
            "flip perceived multiplicity with probability P");
-  args.num("--drop", &o.dropProb, ArgParser::Num::Probability, "P",
+  args.num("--drop", &sc.fault.dropProb, ArgParser::Num::Probability, "P",
            "drop a computed path with probability P");
-  args.num("--trunc", &o.truncProb, ArgParser::Num::Probability, "P",
+  args.num("--trunc", &sc.fault.truncProb, ArgParser::Num::Probability, "P",
            "truncate a computed path with probability P");
-  args.u64("--fault-seed", &o.faultSeed, "S",
-           "fault RNG stream seed (default: --seed)", &o.faultSeedSet);
+  args.u64("--fault-seed", &sc.fault.seed, "S",
+           "fault RNG stream seed (default: --seed)", &sc.faultSeedSet);
 
   args.section("supervised campaigns (docs/RESILIENCE.md)");
   args.u64("--campaign", &o.campaignRuns, "N",
@@ -194,51 +164,6 @@ void registerFlags(apf::cli::ArgParser& args, Options& o) {
   args.flag("--quiet", &o.quiet, "summary line only");
 }
 
-/// Compiles the CLI options into the versioned spec (apf.shard.v1) that
-/// defines a campaign: the single source of truth for the executor and,
-/// as canonical JSON, the journal config key. `spec.algo` carries the CLI
-/// spelling (the cli::makeAlgorithm table), not Algorithm::name().
-apf::sim::ShardSpec specFromOptions(const Options& o,
-                                    const apf::config::Configuration& pattern,
-                                    const apf::config::Configuration& start,
-                                    const std::string& patternLabel,
-                                    apf::sched::SchedulerKind sched) {
-  apf::sim::ShardSpec spec;
-  spec.algo = o.algo;
-  spec.n = static_cast<std::size_t>(o.n);
-  spec.patternLabel = patternLabel;
-  spec.pattern = pattern;
-  if (!o.startFile.empty()) {
-    spec.startKind = "points";
-    spec.start = start;
-  } else {
-    spec.startKind = o.startKind;
-  }
-  spec.sched = sched;
-  spec.baseSeed = o.seed;
-  spec.runs = o.campaignRuns;
-  spec.maxEvents = o.maxEvents;
-  spec.delta = o.delta;
-  spec.multiplicity = o.multiplicity;
-  spec.commonChirality = o.commonChirality;
-  spec.crashF = o.crashF;
-  spec.crashHorizon = o.crashHorizon;
-  // Base plan: sensor/compute knobs + fault-stream seed only. Crash
-  // victims/timings are re-drawn per run from the effective seed (or the
-  // pinned fault seed) inside runScenarioPayload.
-  spec.fault.noiseSigma = o.noiseSigma;
-  spec.fault.omitProb = o.omitProb;
-  spec.fault.multFlipProb = o.multFlipProb;
-  spec.fault.dropProb = o.dropProb;
-  spec.fault.truncProb = o.truncProb;
-  spec.fault.seed = o.faultSeedSet ? o.faultSeed : o.seed;
-  spec.faultSeedSet = o.faultSeedSet;
-  spec.watchdogEvents = o.watchdogEvents;
-  spec.watchdogMs = o.watchdogMs;
-  spec.retries = o.retries;
-  return spec;
-}
-
 /// The campaign-describing manifest fields, derived from the spec so the
 /// manifest and the journal config key cannot disagree.
 apf::obs::Manifest campaignManifest(const apf::sim::ShardSpec& spec,
@@ -254,7 +179,7 @@ apf::obs::Manifest campaignManifest(const apf::sim::ShardSpec& spec,
   m.set("runs", spec.runs);
   m.set("max_events", spec.maxEvents);
   m.set("delta", spec.delta);
-  m.set("multiplicity", spec.multiplicity);
+  m.set("multiplicity", spec.multiplicityDetection);
   m.set("chirality", spec.commonChirality);
   m.set("crash_f", spec.crashF);
   m.set("crash_horizon", spec.crashHorizon);
@@ -303,89 +228,50 @@ int main(int argc, char** argv) try {
     return ok ? 0 : 1;
   }
 
-  // Pattern.
-  config::Configuration pattern;
+  // The scenario: pattern points (a file fixes n), an optional start file,
+  // the algorithm (which may force multiplicity detection), the scheduler.
+  sim::Scenario& sc = o.exp.scenario;
+  const std::uint64_t seed = o.exp.seed;
   if (!o.patternFile.empty()) {
-    pattern = io::loadConfiguration(o.patternFile);
-    o.n = pattern.size();
-  } else if (o.pattern == "mult") {
-    pattern = io::multiplicityPattern(o.n);
-    o.multiplicity = true;
-  } else if (o.pattern == "center-mult") {
-    pattern = io::centerMultiplicityPattern(o.n);
-    o.multiplicity = true;
+    sc.pattern = io::loadConfiguration(o.patternFile);
+    sc.n = sc.pattern.size();
+    sc.patternLabel = o.patternFile;
+  } else if (sc.patternLabel == "mult") {
+    sc.pattern = io::multiplicityPattern(sc.n);
+    sc.multiplicityDetection = true;
+  } else if (sc.patternLabel == "center-mult") {
+    sc.pattern = io::centerMultiplicityPattern(sc.n);
+    sc.multiplicityDetection = true;
   } else {
-    pattern = io::patternByName(o.pattern, o.n, o.seed + 1000);
+    sc.pattern = io::patternByName(sc.patternLabel, sc.n, seed + 1000);
   }
-
-  // Start.
-  config::Configuration start;
   if (!o.startFile.empty()) {
-    start = io::loadConfiguration(o.startFile);
-  } else if (o.startKind == "symmetric") {
-    config::Rng rng(o.seed + 7);
-    const int rho = static_cast<int>(o.n) / 2;
-    start = config::symmetricConfiguration(rho > 1 ? rho : 2, 2, rng);
-  } else {
-    config::Rng rng(o.seed + 7);
-    start = config::randomConfiguration(o.n, rng, 5.0, 0.1);
+    sc.startKind = "points";
+    sc.start = io::loadConfiguration(o.startFile);
   }
+  if (!sc.faultSeedSet) sc.fault.seed = seed;
+  cli::requireValid("apf_sim", sc);
+
+  // The start of run `seed`, which a campaign's run 0 also starts from.
+  const config::Configuration start = sim::startFor(sc, seed);
   if (o.analyze) {
     const auto report = config::classify(start);
     std::printf("%s", report.describe().c_str());
     return 0;
   }
 
-  if (start.size() != pattern.size()) {
-    std::fprintf(stderr, "start has %zu robots but pattern has %zu points\n",
-                 start.size(), pattern.size());
-    return 2;
-  }
-
-  // Algorithm.
   std::unique_ptr<sim::Algorithm> algo =
-      cli::makeAlgorithm(o.algo, o.multiplicity);
+      cli::makeAlgorithm(sc.algo, sc.multiplicityDetection);
   if (algo == nullptr) {
-    std::fprintf(stderr, "unknown algorithm: %s (want %s)\n", o.algo.c_str(),
-                 cli::algorithmNames());
+    std::fprintf(stderr, "unknown algorithm: %s (want %s)\n",
+                 sc.algo.c_str(), cli::algorithmNames());
     return 2;
   }
+  sc.sched = cli::schedulerOrExit("apf_sim", o.exp.sched);
 
-  sim::EngineOptions opts;
-  opts.seed = o.seed;
-  opts.maxEvents = o.maxEvents;
-  opts.multiplicityDetection = o.multiplicity;
-  opts.commonChirality = o.commonChirality;
-  opts.sched.delta = o.delta;
-  const auto kind = sched::schedulerFromName(o.sched);
-  if (!kind) {
-    std::fprintf(stderr, "unknown scheduler: %s\n", o.sched.c_str());
-    return 2;
-  }
-  opts.sched.kind = *kind;
-
-  // Fault plan (empty by default — the engine is then bit-identical to a
-  // fault-free build). Crash victims/timings are drawn here so the summary
+  // The run's options. Crash victims/timings are drawn here so the summary
   // and manifest record the concrete plan, not just "F crashes".
-  const std::uint64_t faultSeed = o.faultSeedSet ? o.faultSeed : o.seed;
-  if (o.crashF > 0) {
-    if (static_cast<std::size_t>(o.crashF) >= start.size()) {
-      std::fprintf(stderr,
-                   "apf_sim: --crash %d must leave at least one live robot "
-                   "(n = %zu)\n",
-                   o.crashF, start.size());
-      return 2;
-    }
-    opts.fault = fault::planWithRandomCrashes(start.size(), o.crashF,
-                                              faultSeed, o.crashHorizon);
-  }
-  opts.fault.noiseSigma = o.noiseSigma;
-  opts.fault.omitProb = o.omitProb;
-  opts.fault.multFlipProb = o.multFlipProb;
-  opts.fault.dropProb = o.dropProb;
-  opts.fault.truncProb = o.truncProb;
-  opts.fault.seed = faultSeed;
-
+  sim::EngineOptions opts = sim::engineOptionsFor(sc, seed);
   std::unique_ptr<obs::JsonlRecorder> sink;
   if (!o.jsonlPath.empty()) {
     sink = std::make_unique<obs::JsonlRecorder>(o.jsonlPath);
@@ -396,14 +282,13 @@ int main(int argc, char** argv) try {
 
   // ------------------------------------------------ supervised campaign --
   if (o.campaignRuns > 0) {
-    const std::string patternLabel =
-        !o.patternFile.empty() ? o.patternFile : o.pattern;
-    const sim::ShardSpec spec =
-        specFromOptions(o, pattern, start, patternLabel, *kind);
-    if (const std::string why = sim::validateShardSpec(spec); !why.empty()) {
-      std::fprintf(stderr, "apf_sim: invalid campaign: %s\n", why.c_str());
-      return 2;
-    }
+    sim::ShardSpec spec;
+    static_cast<sim::Scenario&>(spec) = sc;
+    spec.baseSeed = seed;
+    spec.runs = o.campaignRuns;
+    spec.watchdogEvents = o.watchdogEvents;
+    spec.watchdogMs = o.watchdogMs;
+    spec.retries = o.retries;
     // The spec's canonical JSON is the journal config key: resuming with
     // ANY different option is a different experiment and must be refused,
     // not silently merged.
@@ -474,9 +359,9 @@ int main(int argc, char** argv) try {
           "campaign: %llu runs  algo=%s n=%zu sched=%s seeds=%llu..%llu\n"
           "  completed=%llu replayed=%llu retries=%llu quarantined=%llu\n",
           static_cast<unsigned long long>(o.campaignRuns),
-          algo->name().c_str(), static_cast<std::size_t>(o.n),
-          o.sched.c_str(), static_cast<unsigned long long>(o.seed),
-          static_cast<unsigned long long>(o.seed + o.campaignRuns - 1),
+          algo->name().c_str(), sc.n, o.exp.sched.c_str(),
+          static_cast<unsigned long long>(seed),
+          static_cast<unsigned long long>(seed + o.campaignRuns - 1),
           static_cast<unsigned long long>(report.completed),
           static_cast<unsigned long long>(report.replayed),
           static_cast<unsigned long long>(report.retries),
@@ -516,7 +401,7 @@ int main(int argc, char** argv) try {
     opts.watchdog = &watchdog;
   }
 
-  sim::Engine engine(start, pattern, *algo, opts);
+  sim::Engine engine(start, sc.pattern, *algo, opts);
   sim::Trace trace;
   if (!o.svgPath.empty() || (!o.tracePath.empty() && !chromeTrace)) {
     trace.attach(engine);
@@ -540,10 +425,8 @@ int main(int argc, char** argv) try {
     spans->writeChromeTrace(o.tracePath);
   }
 
-  const std::string patternLabel =
-      !o.patternFile.empty() ? o.patternFile : o.pattern;
   obs::Manifest manifest =
-      sim::describeRun(opts, algo->name(), patternLabel, start.size());
+      sim::describeRun(opts, algo->name(), sc.patternLabel, start.size());
   sim::appendResult(manifest, res);
   if (!o.manifestPath.empty()) manifest.write(o.manifestPath);
 
@@ -553,8 +436,8 @@ int main(int argc, char** argv) try {
     std::printf(
         "algo=%s n=%zu sched=%s seed=%llu  terminated=%s success=%s "
         "outcome=%s  cycles=%llu bits=%llu distance=%.2f\n",
-        algo->name().c_str(), start.size(), o.sched.c_str(),
-        static_cast<unsigned long long>(o.seed),
+        algo->name().c_str(), start.size(), o.exp.sched.c_str(),
+        static_cast<unsigned long long>(seed),
         res.terminated ? "yes" : "no", res.success ? "yes" : "no",
         sim::outcomeName(res.outcome),
         static_cast<unsigned long long>(res.metrics.cycles),
@@ -578,18 +461,7 @@ int main(int argc, char** argv) try {
   // violation kind is pinned (and --shrink minimizes the case) so
   // `apf_sim --replay` asserts the same invariant breaks again.
   if (!o.reproOutPath.empty()) {
-    sim::ReproCase repro;
-    repro.algo = o.algo;
-    repro.start = start;
-    repro.pattern = pattern;
-    repro.seed = o.seed;
-    repro.maxEvents = o.maxEvents;
-    repro.delta = o.delta;
-    repro.earlyStopProb = opts.sched.earlyStopProb;
-    repro.multiplicityDetection = o.multiplicity;
-    repro.commonChirality = o.commonChirality;
-    repro.sched = opts.sched.kind;
-    repro.fault = opts.fault;
+    sim::ReproCase repro = sim::reproCaseFor(sc, seed);
     const sim::ReplayResult probe = sim::replay(repro, *algo);
     if (probe.violated) {
       repro.violationKind = probe.violationKind;
