@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
+#include <utility>
 
 #include "config/similarity.h"
 #include "geom/angle.h"
@@ -96,7 +97,9 @@ void Engine::emit(obs::Event ev) {
 
 void Engine::refreshSnapshot(std::size_t i) {
   Robot& r = robots_[i];
-  const Vec2 self = current_[i];
+  // Reads go through the const operator[]: the non-const one drops
+  // current_'s memoized SEC and Weber point.
+  const Vec2 self = std::as_const(current_)[i];
   // Recycle the previous snapshot's own storage: release its vector, refill
   // it, hand it back. After the first Look per robot this allocates nothing.
   std::vector<Vec2> local = r.snap.robots.releasePoints();
@@ -267,7 +270,7 @@ void Engine::checkLiveSafety() {
   auto& live = scratch_.live;
   live.clear();
   for (std::size_t j = 0; j < robots_.size(); ++j) {
-    if (!robots_[j].crashed) live.push_back(current_[j]);
+    if (!robots_[j].crashed) live.push_back(std::as_const(current_)[j]);
   }
   if (config::hasCoincidentPair(live, tol)) safetyViolated_ = true;
 }
@@ -294,7 +297,7 @@ Action Engine::computeFor(std::size_t i, sched::RandomSource& rng) {
   // at the robot's position (local origin).
   Action global = local;
   Similarity toGlobal =
-      Similarity::translation(current_[i]) * r.frameInv;
+      Similarity::translation(std::as_const(current_)[i]) * r.frameInv;
   global.path = local.path.transformed(toGlobal);
   return global;
 }
