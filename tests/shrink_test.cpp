@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <stdexcept>
 #include <string>
 
 #include "config/generator.h"
@@ -93,6 +94,20 @@ TEST(ShrinkTest, ReproCaseJsonRoundTripsBitExact) {
   EXPECT_EQ(d.violationKind, c.violationKind);
   // Bit-exactness collapses to string equality of the canonical encoding.
   EXPECT_EQ(toJson(d), toJson(c));
+}
+
+TEST(ShrinkTest, ToJsonRefusesRunFieldsTheSchemaCannotCarry) {
+  // apf.repro.v1 has no crash_f, start_kind or fault_seed_set, so a case
+  // that relies on any of them would replay a different run after a load.
+  ReproCase c = denseCase();
+  c.crashF = 1;
+  EXPECT_THROW(toJson(c), std::logic_error);
+  c = denseCase();
+  c.startKind = "random";
+  EXPECT_THROW(toJson(c), std::logic_error);
+  c = denseCase();
+  c.faultSeedSet = false;
+  EXPECT_THROW(toJson(c), std::logic_error);
 }
 
 TEST(ShrinkTest, SaveAndLoadReproThroughMissingDirectories) {
