@@ -97,6 +97,47 @@ int main() {
     row("shifted (whole)", "robot+eps", ok);
   }
 
+  // Shifted bi-angled whole configurations: random even m, gaps alpha <
+  // beta, random center, the innermost robot turned by eps in (0, 1/4] of
+  // alphamin(P') = alpha toward either neighbour. Toward its alpha
+  // neighbour that is a shifted set; toward its beta neighbour the turn
+  // widens the robot's smallest angle, which condition (b) forbids, so
+  // nothing may be detected.
+  {
+    int ok = 0;
+    for (int t = 0; t < kCases; ++t) {
+      config::Rng rng(700 + t);
+      std::uniform_int_distribution<int> um(3, 8);
+      std::uniform_real_distribution<double> ur(1.5, 3.0);
+      std::uniform_real_distribution<double> ue(0.0, 0.25);
+      std::uniform_real_distribution<double> up(0.0, kTwoPi);
+      const int m = 2 * um(rng);
+      const double pairSum = 2.0 * kTwoPi / m;
+      const double alpha =
+          std::uniform_real_distribution<double>(0.15 * pairSum,
+                                                 0.45 * pairSum)(rng);
+      const double eps = 0.25 - ue(rng);  // (0, 1/4]
+      const double side = (rng() % 2 == 0) ? 1.0 : -1.0;
+      std::vector<double> radii(m);
+      for (double& r : radii) r = ur(rng);
+      const std::size_t shiftedIdx = rng() % m;
+      radii[shiftedIdx] = 1.0;
+      const config::Vec2 center{ur(rng) - 2.25, ur(rng) - 2.25};
+      Configuration p =
+          config::biangularSet(m, alpha, radii, center, up(rng));
+      p[shiftedIdx] =
+          center + (p[shiftedIdx] - center).rotated(side * eps * alpha);
+      // Ray k is followed by an alpha gap when k is even.
+      const bool towardAlpha = (side > 0) == (shiftedIdx % 2 == 0);
+      const auto info = config::shiftedRegularSetOf(p);
+      ok += towardAlpha ? info && info->biangular &&
+                              info->shiftedRobot == shiftedIdx &&
+                              std::fabs(info->epsilon - eps) < 1e-5
+                        : !info.has_value();
+    }
+    row("shifted (whole, bi-angled)", "robot+eps | none (cond. b)", ok);
+  }
+
   // Symmetric configurations: Property 1 (a regular set must exist).
   {
     int ok = 0;

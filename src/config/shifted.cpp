@@ -212,10 +212,45 @@ std::vector<Vec2> refineWholeGridCandidates(const Configuration& p,
       return next - dirs[k].a;
     };
 
+    // Condition (a) keeps r within alphamin(P')/4 of the vacant ray, so
+    // the vacancy lies in the gap that holds r's own direction: only that
+    // gap is fitted. The static robots become rays 1..n-1 of a grid whose
+    // vacant ray 0 lies in that gap, [dirs[g], dirs[g + 1]) cyclically.
+    const double dirR = geom::norm2pi((p[ir] - c0).arg());
+    const auto above = std::upper_bound(
+        dirs.begin(), dirs.end(), dirR,
+        [](double a, const Dir& d) { return a < d.a; });
+    const std::size_t g =
+        (above == dirs.begin())
+            ? m - 1
+            : static_cast<std::size_t>(above - dirs.begin()) - 1;
+    std::vector<Vec2> pts;
+    std::vector<int> rayIndex;
+    for (std::size_t k = 0; k < m; ++k) {
+      pts.push_back(dirs[(g + 1 + k) % m].pos);
+      rayIndex.push_back(static_cast<int>(k + 1));
+    }
+    auto fitVacancy = [&](bool biangular, double alpha, double beta) {
+      geom::AngularGrid init;
+      init.center = c0;
+      init.theta0 = dirs[(g + 1) % m].a - alpha;
+      init.alpha = alpha;
+      init.beta = beta;
+      init.numRays = n;
+      if (auto fit = geom::fitAngularGrid(pts, rayIndex, n, biangular, init);
+          fit && fit->maxResidual <= tol.ang) {
+        const Vec2 c = fit->grid.center;
+        const double rad = geom::dist(p[ir], c);
+        candidates.push_back(c + Vec2{std::cos(fit->grid.rayDir(0)),
+                                      std::sin(fit->grid.rayDir(0))} *
+                                     rad);
+      }
+    };
+
     const double base = kTwoPi / n;
 
     // Equiangular hypothesis: one gap ~ 2*base, the rest ~ base. The vacancy
-    // sits inside the largest gap.
+    // sits inside the largest gap, which must be gap g.
     {
       std::size_t v = 0;
       double maxGap = 0.0;
@@ -225,61 +260,22 @@ std::vector<Vec2> refineWholeGridCandidates(const Configuration& p,
           v = k;
         }
       }
-      if (std::fabs(maxGap - 2.0 * base) < 0.5 * base) {
-        std::vector<Vec2> pts;
-        std::vector<int> rayIndex;
-        for (std::size_t k = 0; k < m; ++k) {
-          pts.push_back(dirs[(v + 1 + k) % m].pos);
-          rayIndex.push_back(static_cast<int>(k + 1));  // vacancy is ray 0
-        }
-        geom::AngularGrid init;
-        init.center = c0;
-        init.theta0 = dirs[(v + 1) % m].a - base;
-        init.alpha = init.beta = base;
-        init.numRays = n;
-        if (auto fit = geom::fitAngularGrid(pts, rayIndex, n, false, init);
-            fit && fit->maxResidual <= tol.ang) {
-          const Vec2 c = fit->grid.center;
-          const double rad = geom::dist(p[ir], c);
-          candidates.push_back(c + Vec2{std::cos(fit->grid.rayDir(0)),
-                                        std::sin(fit->grid.rayDir(0))} *
-                                       rad);
-        }
+      if (v == g && std::fabs(maxGap - 2.0 * base) < 0.5 * base) {
+        fitVacancy(false, base, base);
       }
     }
 
     // Bi-angled hypothesis (n even): the vacancy merges an alpha gap and a
-    // beta gap into pairSum = 4*pi/n. Try every gap as the vacancy.
+    // beta gap into pairSum = 4*pi/n. With the vacancy at ray 0, the robot
+    // after it is ray 1 and the gap ray1->ray2 is beta (our convention: gaps
+    // alternate alpha, beta starting after ray 0).
     if (n % 2 == 0 && n >= 6) {
       const double pairSum = 2.0 * kTwoPi / n;
-      for (std::size_t v = 0; v < m; ++v) {
-        if (std::fabs(gapAfter(v) - pairSum) > 0.45 * pairSum) continue;
-        // With the vacancy at ray 0, the robot after it is ray 1 and the gap
-        // ray1->ray2 is beta (our convention: gaps alternate alpha, beta
-        // starting after ray 0).
-        const double betaInit = gapAfter((v + 1) % m);
-        const double alphaInit = pairSum - betaInit;
-        if (alphaInit < 0.02 * pairSum || alphaInit > 0.98 * pairSum) continue;
-        std::vector<Vec2> pts;
-        std::vector<int> rayIndex;
-        for (std::size_t k = 0; k < m; ++k) {
-          pts.push_back(dirs[(v + 1 + k) % m].pos);
-          rayIndex.push_back(static_cast<int>(k + 1));
-        }
-        geom::AngularGrid init;
-        init.center = c0;
-        init.theta0 = dirs[(v + 1) % m].a - alphaInit;
-        init.alpha = alphaInit;
-        init.beta = betaInit;
-        init.numRays = n;
-        if (auto fit = geom::fitAngularGrid(pts, rayIndex, n, true, init);
-            fit && fit->maxResidual <= tol.ang) {
-          const Vec2 c = fit->grid.center;
-          const double rad = geom::dist(p[ir], c);
-          candidates.push_back(c + Vec2{std::cos(fit->grid.rayDir(0)),
-                                        std::sin(fit->grid.rayDir(0))} *
-                                       rad);
-        }
+      const double betaInit = gapAfter((g + 1) % m);
+      const double alphaInit = pairSum - betaInit;
+      if (std::fabs(gapAfter(g) - pairSum) <= 0.45 * pairSum &&
+          alphaInit >= 0.02 * pairSum && alphaInit <= 0.98 * pairSum) {
+        fitVacancy(true, alphaInit, betaInit);
       }
     }
   }

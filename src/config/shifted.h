@@ -10,16 +10,32 @@
 /// at the minimum distance from the center among all robots.
 ///
 /// Detection strategy: candidate generation + exact verification.
-/// Candidates for r are the robots at the innermost distance ring; for each,
-/// candidate vacant-ray directions theta_v are proposed by reducing every
-/// other robot's direction modulo a hypothesized equiangular family step
-/// (this covers bi-angled grids too, whose rays split into two equiangular
-/// families). Each candidate r' = c + |r-c| * e^{i theta_v} is then verified
-/// *exactly* by running the full Definition-2 machinery on P' and checking
-/// conditions (a)-(c); only verified candidates are reported, so the
-/// heuristic generation can only cause false negatives, never false
-/// positives — and on configurations the algorithms actually produce it is
-/// exhaustive (tested).
+/// Candidates for r are the robots at the innermost distance ring. For
+/// each, candidate positions r' come from three searches:
+///  - subset grids: vacant-ray directions theta_v, proposed around the SEC
+///    center by reducing every other robot's direction modulo a
+///    hypothesized equiangular family step (this covers bi-angled grids
+///    too, whose rays split into two equiangular families);
+///  - whole-configuration grids: a Gauss-Newton fit of the n - 1 static
+///    robots to an n-ray grid (equiangular, or bi-angled for even n) with
+///    a free center, seeded at the Weber points of P and of P - {r}. Only
+///    the gap between static robots that holds r's own direction around
+///    the seed is fitted as the vacancy. Theorem 1 makes the shifted set
+///    unique, and condition (a) puts r within eps * alphamin(P') <=
+///    alphamin(P') / 4 of its vacant ray, so r lies inside the vacancy's
+///    gap, at least 3/4 alphamin(P') from either static neighbour. A fit
+///    of any other gap yields an r' that condition (a) rejects, unless the
+///    seed is so far off the grid's center that it reorders the rays
+///    around r. That is an argument, not a proof:
+///    tests/kernel_oracle_test.cpp checks the search field by field
+///    against a copy that fits every gap (tests/kernel_oracle.h);
+///  - mirror pairs (|reg(P')| = 2): the vacant ray is the partner's ray
+///    mirrored across a symmetry axis of P - {r}.
+/// Each candidate is then verified *exactly* by running the full
+/// Definition-2 machinery on P' and checking conditions (a)-(c); only
+/// verified candidates are reported, so the heuristic generation can only
+/// cause false negatives, never false positives — and on configurations
+/// the algorithms actually produce it is exhaustive (tested).
 
 #include <optional>
 

@@ -10,7 +10,8 @@
 #  * apf_sim --repro-out files (one shrunk) and the --replay verdict;
 #  * an apf_estimate --ab document and its two arm journals.
 # It also requires every input that names no runnable scenario (unknown
-# --start, a symmetric start at odd n) to exit 2 in every tool.
+# --start or --pattern, the scripted scheduler, which needs a script no
+# flag supplies, a symmetric start at odd n) to exit 2 in every tool.
 #
 # Usage: tool_goldens.sh path/to/apf_sim path/to/apf_estimate [--update]
 # --update rewrites the goldens from the given binaries instead of checking.
@@ -88,6 +89,8 @@ single crash_lossy --n 8 --crash 2 --omit 0.05 --drop 0.1 --seed 4 \
   --max-events 20000
 single rsb_symmetric --algo rsb --n 8 --start symmetric --seed 2 \
   --max-events 5000
+single rsb_symmetric_n32 --algo rsb --n 32 --start symmetric --seed 1 \
+  --max-events 3000
 
 # A run with no violation records its coordinates only; one with a
 # violation is shrunk, and the shrunk case must replay it.
@@ -128,6 +131,12 @@ if [ "$UPDATE" = 0 ]; then
   usage_error "$EST" --start bogus --min-samples 16 --max-samples 16
   usage_error "$EST" --start symmetric --n 7 --min-samples 16 \
     --max-samples 16
+  usage_error "$SIM" --sched scripted
+  usage_error "$SIM" --sched scripted --campaign 2
+  usage_error "$EST" --sched scripted --min-samples 16 --max-samples 16
+  usage_error "$SIM" --pattern bogus
+  usage_error "$SIM" --pattern bogus --campaign 2
+  usage_error "$EST" --pattern mult --min-samples 16 --max-samples 16
 fi
 
 [ "$FAILED" = 0 ] && echo "tool_goldens: PASS"

@@ -1,11 +1,15 @@
 /// Angle normalization, bit for bit (signed zeros, infinities and NaN
 /// included), on special values and random corpora; and the SEC,
-/// SEC-holder and symmetry-axis kernels against their reference
-/// copies in kernel_oracle.h: every double and every index must be equal
-/// (==, no tolerance), for n = 1..64, on generator corpora (regular,
-/// equiangular, bi-angled, shifted, axial, rotationally symmetric, random),
-/// on the same corpora under random similarities (reflections included),
-/// and on points placed at the 1e-9 tolerance boundary.
+/// SEC-holder, symmetry-axis and shifted-set kernels against their
+/// reference copies in kernel_oracle.h: every double and every index must
+/// be equal (==, no tolerance), for n = 1..64, on generator corpora
+/// (regular, equiangular, bi-angled, shifted, axial, rotationally
+/// symmetric, random), on the same corpora under random similarities
+/// (reflections included), and on points placed at the 1e-9 tolerance
+/// boundary. The shifted-set search is also compared on whole-grid
+/// shifted sets (equiangular and bi-angled, shifted either way, and at the
+/// tolerance boundary) and on every configuration psi_RSB computes on
+/// from symmetric starts.
 
 #include <gtest/gtest.h>
 
@@ -18,11 +22,17 @@
 #include <vector>
 
 #include "config/generator.h"
+#include "config/shifted.h"
 #include "config/symmetry.h"
+#include "core/analysis.h"
+#include "core/rsb.h"
 #include "geom/angle.h"
 #include "geom/sec.h"
 #include "geom/transform.h"
+#include "io/patterns.h"
 #include "kernel_oracle.h"
+#include "sim/engine.h"
+#include "sim/scenario.h"
 
 namespace apf::config {
 namespace {
@@ -89,6 +99,31 @@ Similarity randomSimilarity(Rng& rng, bool reflect) {
   return {ua(rng), us(rng), reflect, Vec2{uo(rng), uo(rng)}};
 }
 
+/// config::shiftedRegularSetOf == oracle::shiftedRegularSetOf on every
+/// field. Returns whether a shifted set was found.
+bool expectSameShiftedSet(const Configuration& p, const std::string& what,
+                          const Tol& tol = geom::kDefaultTol) {
+  const auto fast = shiftedRegularSetOf(p, tol);
+  const auto slow = oracle::shiftedRegularSetOf(p, tol);
+  EXPECT_EQ(fast.has_value(), slow.has_value()) << what;
+  if (!fast || !slow) return false;
+  EXPECT_EQ(fast->indices, slow->indices) << what;
+  EXPECT_EQ(fast->shiftedRobot, slow->shiftedRobot) << what;
+  EXPECT_EQ(fast->associatedPos.x, slow->associatedPos.x) << what;
+  EXPECT_EQ(fast->associatedPos.y, slow->associatedPos.y) << what;
+  EXPECT_EQ(fast->epsilon, slow->epsilon) << what;
+  EXPECT_EQ(fast->alphaMinPPrime, slow->alphaMinPPrime) << what;
+  EXPECT_EQ(fast->grid.center.x, slow->grid.center.x) << what;
+  EXPECT_EQ(fast->grid.center.y, slow->grid.center.y) << what;
+  EXPECT_EQ(fast->grid.theta0, slow->grid.theta0) << what;
+  EXPECT_EQ(fast->grid.alpha, slow->grid.alpha) << what;
+  EXPECT_EQ(fast->grid.beta, slow->grid.beta) << what;
+  EXPECT_EQ(fast->grid.numRays, slow->grid.numRays) << what;
+  EXPECT_EQ(fast->biangular, slow->biangular) << what;
+  EXPECT_EQ(fast->wholeConfig, slow->wholeConfig) << what;
+  return true;
+}
+
 /// Fast kernel == oracle on every output, at each given tolerance, with the
 /// axes taken about `center` and about C(P)'s center.
 void expectSameAsOracle(const Configuration& p, Vec2 center,
@@ -117,6 +152,7 @@ void expectSameAsOracle(const Configuration& p, Vec2 center,
       EXPECT_EQ(symmetryAxes(p, c, tol), oracle::symmetryAxes(p, c, tol))
           << at << " center=(" << c.x << "," << c.y << ")";
     }
+    expectSameShiftedSet(p, at, tol);
   }
 }
 
@@ -277,6 +313,154 @@ TEST(KernelOracleTest, NearCenterAtToleranceMatchBitForBit) {
     p.push_back(Vec2{eps, 0.0});
     expectSameAsOracle(p, {}, "near-center" + tag, {geom::kDefaultTol});
   });
+}
+
+constexpr std::size_t kMinShiftedN = 4;  // below, no shifted set exists
+
+/// A whole-configuration shifted set: n robots on the rays of an
+/// equiangular grid (or, when `biangular`, of a bi-angled one with
+/// alpha < beta) about an off-origin center, the unique innermost robot
+/// turned off its ray by side * eps * alphamin, side = +1 or -1.
+Configuration shiftedWholeSet(std::size_t n, bool biangular, double eps,
+                              double side, Rng& rng) {
+  std::uniform_real_distribution<double> ur(1.5, 3.0);
+  std::uniform_real_distribution<double> uc(-2.0, 2.0);
+  std::vector<double> radii(n);
+  for (double& r : radii) r = ur(rng);
+  const std::size_t shifted = rng() % n;
+  radii[shifted] = 1.0;
+  const Vec2 center{uc(rng), uc(rng)};
+  const double pairSum = 2.0 * kTwoPi / static_cast<double>(n);
+  const double alpha =
+      biangular ? std::uniform_real_distribution<double>(
+                      0.15 * pairSum, 0.45 * pairSum)(rng)
+                : pairSum / 2.0;
+  Configuration p =
+      biangular ? biangularSet(n, alpha, radii, center, randomPhase(rng))
+                : equiangularSet(radii, center, randomPhase(rng));
+  p[shifted] = center + (p[shifted] - center).rotated(side * eps * alpha);
+  return p;
+}
+
+TEST(KernelOracleTest, ShiftedSetOnShiftedWholeGridsMatches) {
+  std::size_t found = 0;
+  for (const bool biangular : {false, true}) {
+    for (std::size_t n = kMinShiftedN; n <= kMaxN; ++n) {
+      if (biangular && n % 2 != 0) continue;
+      Rng rng(10000 + 100 * biangular + n);
+      const double randomEps =
+          0.25 - std::uniform_real_distribution<double>(0.0, 0.25)(rng);
+      for (const double eps : {0.125, 0.25, randomEps}) {
+        for (const double side : {1.0, -1.0}) {
+          const Configuration p =
+              shiftedWholeSet(n, biangular, eps, side, rng);
+          const std::string what =
+              std::string(biangular ? "bi-angled" : "equiangular") +
+              " n=" + std::to_string(n) + " eps=" + std::to_string(eps) +
+              " side=" + std::to_string(side);
+          found += expectSameShiftedSet(p, what);
+          const Similarity t = randomSimilarity(rng, /*reflect=*/true);
+          found += expectSameShiftedSet(p.transformed(t), what + " moved");
+        }
+      }
+    }
+  }
+  // The corpus must reach the whole-grid fits: most of its sets are found.
+  EXPECT_GT(found, 300u);
+}
+
+TEST(KernelOracleTest, ShiftedSetAtToleranceMatches) {
+  forBoundaryCases(11000, [](std::size_t n, double eps,
+                             const std::string& tag, Rng& rng) {
+    if (n < kMinShiftedN) return;
+    const double base = kTwoPi / static_cast<double>(n);
+    std::vector<double> radii(n, 2.0);
+    radii[0] = 1.0;
+    const Configuration grid = equiangularSet(radii, {}, randomPhase(rng));
+    // A second robot eps farther out than the shifted one: the innermost
+    // ring and condition (c) sit at the tolerance.
+    Configuration p = grid;
+    p[0] = p[0].rotated(0.125 * base);
+    p[1] = p[1] * ((1.0 + eps) / 2.0);
+    expectSameShiftedSet(p, "ring" + tag);
+    // The shifted robot eps off its ray: eps > 0 sits at the tolerance.
+    p = grid;
+    p[0] = p[0].rotated(eps);
+    expectSameShiftedSet(p, "shift" + tag);
+    // A static robot eps off its ray: the fit residual sits at the
+    // tolerance.
+    p = grid;
+    p[0] = p[0].rotated(0.125 * base);
+    p[n / 2] = p[n / 2].rotated(eps);
+    expectSameShiftedSet(p, "static" + tag);
+  });
+}
+
+/// psi_RSB that records the normalized configuration P each Compute sees.
+class RecordingRsb : public sim::Algorithm {
+ public:
+  explicit RecordingRsb(std::vector<Configuration>* seen) : seen_(seen) {}
+  sim::Action compute(const sim::Snapshot& snap,
+                      sched::RandomSource& rng) const override {
+    if (const core::Analysis a(snap); a.ok()) seen_->push_back(a.P());
+    return rsb_.compute(snap, rng);
+  }
+  std::string name() const override { return rsb_.name(); }
+
+ private:
+  core::RsbOnlyAlgorithm rsb_;
+  std::vector<Configuration>* seen_;
+};
+
+/// Every configuration psi_RSB computes on in an ASYNC run of n robots from
+/// the symmetric start of `seed`, capped at maxEvents.
+std::vector<Configuration> rsbSnapshots(std::size_t n, std::uint64_t seed,
+                                        std::uint64_t maxEvents) {
+  sim::Scenario sc;
+  sc.algo = "rsb";
+  sc.n = n;
+  sc.pattern = io::starPattern(n);
+  sc.startKind = "symmetric";
+  sc.maxEvents = maxEvents;
+  std::vector<Configuration> seen;
+  const RecordingRsb algo(&seen);
+  sim::Engine engine(sim::startFor(sc, seed), sc.pattern, algo,
+                     sim::engineOptionsFor(sc, seed));
+  engine.run();
+  return seen;
+}
+
+/// Compares the two searches on every Compute of the runs of seeds
+/// 1..seeds; at least one of the configurations must hold a shifted set.
+void expectRsbSnapshotsMatch(std::size_t n, std::uint64_t seeds,
+                             std::uint64_t maxEvents) {
+  std::size_t computes = 0;
+  std::size_t found = 0;
+  for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
+    const auto seen = rsbSnapshots(n, seed, maxEvents);
+    computes += seen.size();
+    for (std::size_t i = 0; i < seen.size(); ++i) {
+      found += expectSameShiftedSet(
+          seen[i], "rsb n=" + std::to_string(n) + " seed=" +
+                       std::to_string(seed) + " compute " +
+                       std::to_string(i));
+    }
+  }
+  EXPECT_GT(found, 0u) << "n=" << n << ": no shifted set among " << computes
+                       << " computes";
+}
+
+TEST(KernelOracleTest, ShiftedSetOnRsbRunsN8N16Matches) {
+  expectRsbSnapshotsMatch(8, 8, 3000);
+  expectRsbSnapshotsMatch(16, 4, 3000);
+}
+
+TEST(KernelOracleTest, ShiftedSetOnRsbRunsN24Matches) {
+  expectRsbSnapshotsMatch(24, 2, 2000);
+}
+
+TEST(KernelOracleTest, ShiftedSetOnRsbRunsN32Matches) {
+  expectRsbSnapshotsMatch(32, 1, 2000);
 }
 
 }  // namespace

@@ -25,7 +25,6 @@
 
 #include "est/ab.h"
 #include "est/adaptive.h"
-#include "io/patterns.h"
 #include "obs/json.h"
 #include "obs/manifest.h"
 #include "obs/recorder.h"
@@ -235,7 +234,8 @@ int main(int argc, char** argv) try {
   }
   sim::Scenario& sc = o.exp.scenario;
   sc.sched = cli::schedulerOrExit("apf_estimate", o.exp.sched);
-  sc.pattern = io::patternByName(sc.patternLabel, sc.n, o.exp.seed + 1000);
+  sc.pattern = cli::patternOrExit("apf_estimate", sc.patternLabel, sc.n,
+                                  o.exp.seed + 1000);
   cli::requireValid("apf_estimate", sc);
 
   std::unique_ptr<obs::JsonlRecorder> sink;

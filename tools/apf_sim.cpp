@@ -243,7 +243,8 @@ int main(int argc, char** argv) try {
     sc.pattern = io::centerMultiplicityPattern(sc.n);
     sc.multiplicityDetection = true;
   } else {
-    sc.pattern = io::patternByName(sc.patternLabel, sc.n, seed + 1000);
+    sc.pattern = cli::patternOrExit("apf_sim", sc.patternLabel, sc.n,
+                                    seed + 1000);
   }
   if (!o.startFile.empty()) {
     sc.startKind = "points";

@@ -5,15 +5,17 @@
 /// They write straight into a sim::Scenario (sim/scenario.h); only --sched
 /// and --seed live beside it, because the scheduler's spelling is echoed
 /// as given in reports and journal keys, and the seed is not part of a
-/// scenario. Each tool then resolves the pattern points (and any start
-/// file), sets the scheduler with schedulerOrExit, and refuses what
-/// sim::validate refuses with requireValid.
+/// scenario. Each tool then resolves the pattern points with patternOrExit
+/// (and any start file), sets the scheduler with schedulerOrExit, and
+/// refuses what sim::validate refuses with requireValid.
 
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 
+#include "io/patterns.h"
 #include "sched/scheduler.h"
 #include "sim/scenario.h"
 #include "algo_select.h"
@@ -52,15 +54,29 @@ inline void registerScenarioFlags(ArgParser& args, ScenarioFlags& f,
             "give all robots a common chirality");
 }
 
-/// The scheduler named `name`; exits 2 when there is none.
+/// The scheduler named `name`; exits 2 when there is none, and for the
+/// scripted scheduler, which runs a script the command line cannot supply.
 inline sched::SchedulerKind schedulerOrExit(const char* tool,
                                             const std::string& name) {
   const auto kind = sched::schedulerFromName(name);
-  if (!kind) {
-    std::fprintf(stderr, "%s: unknown scheduler: %s\n", tool, name.c_str());
+  if (!kind || *kind == sched::SchedulerKind::Scripted) {
+    std::fprintf(stderr, "%s: unknown scheduler: %s (want fsync|ssync|async)\n",
+                 tool, name.c_str());
     std::exit(2);
   }
   return *kind;
+}
+
+/// io::patternByName(name, n, seed); exits 2 when no pattern has that name.
+inline config::Configuration patternOrExit(const char* tool,
+                                           const std::string& name,
+                                           std::size_t n, std::uint64_t seed) {
+  try {
+    return io::patternByName(name, n, seed);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s: %s\n", tool, e.what());
+    std::exit(2);
+  }
 }
 
 /// Exits 2 with validate()'s reason when the scenario names no runnable
